@@ -12,10 +12,12 @@ boolean masks. The per-query semantics — pop order, rule order, the
 ``±eps*t`` guarantee, and every :class:`~repro.core.stats.TraversalStats`
 counter — are preserved exactly; only the arithmetic is batched.
 
-Frontier bookkeeping uses padded 2-d arrays (one row per query in the
-block) with swap-removal pops; selection scans each row for the best
-``(discrepancy, insertion seq)`` pair, replicating the reference
-engine's heap ordering including its tie-break.
+Per-query state is packed to the live queries, all retirements are
+decided in one pass, and both children of every expanded node are
+bounded in one sweep, so a round costs a fixed few dozen numpy calls
+however few queries are live. The frontier is append-only with columns
+in insertion order: ``argmin`` over ``lower - upper`` (+inf marks a
+dead slot) is exactly the reference heap's ``(discrepancy, seq)`` order.
 """
 
 from __future__ import annotations
@@ -39,12 +41,9 @@ from repro.robustness.guards import (
 )
 
 #: Default number of queries traversed per block. Bounds peak frontier
-#: memory (a block's frontier arrays are ``block_size x max_frontier``)
-#: while keeping the vectorized sweeps wide enough to amortize dispatch.
-#: The bench_batch_traversal block-size sweep (gauss d=2 n=50k, 2048
-#: queries) measured 22.2k / 27.8k / 61.4k queries/s at 128 / 512 /
-#: 2048: per-round dispatch overhead keeps falling as the block widens,
-#: so the default sits at the top of the swept range.
+#: memory (a block's frontier arrays are ``block_size x capacity``)
+#: while keeping the vectorized sweeps wide enough to amortize the fixed
+#: per-round dispatch cost, which falls per query as the block widens.
 DEFAULT_BLOCK_SIZE = 2048
 
 #: Outcome codes stored per query (0 means the tree was exhausted).
@@ -63,13 +62,18 @@ _OUTCOME_BY_CODE: tuple[PruneOutcome | None, ...] = (
     None,  # budget stop is not a prune
 )
 
-_SEQ_INF = np.iinfo(np.int64).max
-
 #: Engine label this module reports under (see ``repro.obs.metrics``).
 ENGINE_LABEL = "batch"
 
-#: Trace-rule string for each outcome code (index = code).
-_RULE_BY_CODE = ("exhausted", "threshold_high", "threshold_low", "tolerance", "budget")
+#: Block-internal retirement codes, reported as OUTCOME_NONE.
+_EXACT = 5
+_EXHAUSTED = 6
+
+#: Trace-rule string for each outcome or retirement code (index = code).
+_RULE_BY_CODE = (
+    "exhausted", "threshold_high", "threshold_low", "tolerance", "budget", "exact",
+    "exhausted",
+)
 
 
 @dataclass(frozen=True)
@@ -196,7 +200,7 @@ def _bound_block(
     faults: FaultInjector | None,
     trace=None,
 ) -> None:
-    """Run the masked-frontier traversal for one block of queries."""
+    """Run the packed-frontier traversal for one block of queries."""
     n_queries = queries.shape[0]
     if n_queries == 0:
         return
@@ -205,21 +209,10 @@ def _bound_block(
     guarded = guard_policy != "off"
     kernel_ceiling = kernel.max_value
     kernels_start = stats.kernel_evaluations
-    # Retirement tallies for the registry; out_codes alone cannot
+    # Retirements by code, for the registry; out_codes alone cannot
     # distinguish exhausted from exact-fallback (both OUTCOME_NONE).
-    exhausted_n = 0
-    exact_n = 0
-
-    def trace_stops(rows: np.ndarray, rule: str) -> None:
-        """Record terminal rule + final bounds for retired queries."""
-        if trace is None:
-            return
-        for row in rows:
-            trace.stop(
-                int(row), rule,
-                f_lower=float(out_lower[row]), f_upper=float(out_upper[row]),
-                expansions=int(expansions_used[row]),
-            )
+    retired = np.zeros(len(_RULE_BY_CODE), dtype=np.int64)
+    expansions_out = np.zeros(n_queries, dtype=np.int64)
 
     def guard_pair(node_ids, pair_lower, pair_upper):
         """Inject faults into and guard one (query, node) bound sweep."""
@@ -243,228 +236,200 @@ def _bound_block(
     root_ids = np.zeros(n_queries, dtype=np.int64)
     root_lower, root_upper = pair_box_bounds(flat, root_ids, queries, kernel, inv_n)
     root_lower, root_upper = guard_pair(root_ids, root_lower, root_upper)
-    f_lower = root_lower.copy()
-    f_upper = root_upper.copy()
-    expansions_used = np.zeros(n_queries, dtype=np.int64)
     if trace is not None:
         for row in range(n_queries):
-            trace.step(row, float(f_lower[row]), float(f_upper[row]))
+            trace.step(row, float(root_lower[row]), float(root_upper[row]))
 
-    # Padded frontier arrays, one row per query; columns grow on demand.
-    capacity = 16
+    # Per-query state is packed to the live queries: `rows` maps packed
+    # position -> row of the block, and every array below is compressed
+    # only in rounds where some query retires.
+    rows = np.arange(n_queries)
+    frow = np.arange(n_queries)  # frontier row of each live query
+    live_queries = queries
+    f_lower = root_lower.copy()
+    f_upper = root_upper.copy()
+    used = np.zeros(n_queries, dtype=np.int64)
+    # Append-only frontier, one row per query: round r writes its
+    # left/right children to columns `end`, `end + 1`, so column order is
+    # insertion order and argmin's first-minimum rule reproduces the
+    # reference heap's (discrepancy, seq) tie-break. A popped or unpushed
+    # slot has rank +inf; dead slots are stable-packed away only when the
+    # columns run out, and retired queries' rows once they are the majority.
+    capacity = 64
     fr_node = np.zeros((n_queries, capacity), dtype=np.int64)
     fr_lower = np.zeros((n_queries, capacity))
     fr_upper = np.zeros((n_queries, capacity))
-    fr_seq = np.zeros((n_queries, capacity), dtype=np.int64)
-    fr_len = np.ones(n_queries, dtype=np.int64)
-    fr_node[:, 0] = 0
+    fr_rank = np.full((n_queries, capacity), np.inf)
     fr_lower[:, 0] = root_lower
     fr_upper[:, 0] = root_upper
-    next_seq = np.ones(n_queries, dtype=np.int64)  # root consumed seq 0
+    fr_rank[:, 0] = root_lower - root_upper
+    end = 1
 
-    alive = np.arange(n_queries)
-
-    while alive.size:
-        # --- exhausted frontiers (checked before the rules, like the
-        # reference engine's `while frontier:` condition).
-        empty = fr_len[alive] == 0
-        if empty.any():
-            done = alive[empty]
-            stats.exhausted += done.size
-            exhausted_n += done.size
-            out_lower[done] = np.minimum(f_lower[done], f_upper[done])
-            out_upper[done] = np.maximum(f_lower[done], f_upper[done])
-            out_codes[done] = OUTCOME_NONE
-            trace_stops(done, "exhausted")
-            alive = alive[~empty]
-            if not alive.size:
-                break
-
-        # --- accumulator guard: a non-finite running interval has lost
-        # its frontier bookkeeping; the sound recovery is one exact
-        # evaluation per affected query.
+    while rows.size:
+        slot = frow * capacity + fr_rank[:, :end].argmin(axis=1)[frow]
+        # --- retirements, with the reference engine's precedence:
+        # exhausted frontier, non-finite accumulator (guarded), threshold
+        # HIGH, threshold LOW, tolerance, then the anytime budget.
+        exhausted = fr_rank.take(slot) == np.inf
+        stop = exhausted.copy()
         if guarded:
-            broken = ~(np.isfinite(f_lower[alive]) & np.isfinite(f_upper[alive]))
-            if broken.any():
-                rows = alive[broken]
+            broken = ~(np.isfinite(f_lower) & np.isfinite(f_upper))
+            stop |= broken
+        if use_threshold_rule:
+            high = f_lower > high_edge
+            low = f_upper < low_edge
+            stop |= high | low
+        if use_tolerance_rule:
+            tolerance = f_upper - f_lower < tolerance_width
+            stop |= tolerance
+        if max_expansions is not None:
+            over = used >= max_expansions
+            stop |= over
+        if np.count_nonzero(stop):
+            code = np.zeros(rows.size, dtype=np.int8)
+            if max_expansions is not None:
+                code[over] = OUTCOME_BUDGET
+            if use_tolerance_rule:
+                code[tolerance] = OUTCOME_TOLERANCE
+            if use_threshold_rule:
+                code[low] = OUTCOME_THRESHOLD_LOW
+                code[high] = OUTCOME_THRESHOLD_HIGH
+            if guarded:
+                code[broken] = _EXACT
+            code[exhausted] = _EXHAUSTED
+            done = rows[stop]
+            done_code = code[stop]
+            done_lower = f_lower[stop]
+            done_upper = f_upper[stop]
+            counts = np.bincount(done_code, minlength=len(_RULE_BY_CODE))
+            retired += counts
+            # Exhausted and budget stops report the ordered interval,
+            # rule prunes the raw one.
+            ordered = (done_code == _EXHAUSTED) | (done_code == OUTCOME_BUDGET)
+            out_lower[done] = np.where(ordered, np.minimum(done_lower, done_upper), done_lower)
+            out_upper[done] = np.where(ordered, np.maximum(done_lower, done_upper), done_upper)
+            out_codes[done] = np.where(done_code < _EXACT, done_code, OUTCOME_NONE)
+            expansions_out[done] = used[stop]
+            stats.exhausted += int(counts[_EXHAUSTED])
+            if counts[_EXACT]:
+                # A non-finite running interval has lost its frontier
+                # bookkeeping; the sound recovery is one exact
+                # evaluation per affected query.
+                exact_rows = done[done_code == _EXACT]
                 escalate(
                     guard_policy, "accumulator",
-                    f"{rows.size} non-finite running interval(s)", stats,
-                    count=rows.size,
+                    f"{exact_rows.size} non-finite running interval(s)", stats,
+                    count=exact_rows.size,
                 )
-                exact = _exact_full_sums(flat, kernel, queries[rows], inv_n)
-                out_lower[rows] = exact
-                out_upper[rows] = exact
-                out_codes[rows] = OUTCOME_NONE
+                exact = _exact_full_sums(flat, kernel, queries[exact_rows], inv_n)
+                out_lower[exact_rows] = exact
+                out_upper[exact_rows] = exact
                 stats.extras[EXACT_FALLBACKS_KEY] = (
-                    stats.extras.get(EXACT_FALLBACKS_KEY, 0.0) + rows.size
+                    stats.extras.get(EXACT_FALLBACKS_KEY, 0.0) + exact_rows.size
                 )
-                exact_n += rows.size
-                trace_stops(rows, "exact")
-                alive = alive[~broken]
-                if not alive.size:
-                    break
-
-        # --- pruning rules, threshold before tolerance (paper order).
-        fl = f_lower[alive]
-        fu = f_upper[alive]
-        code = np.zeros(alive.size, dtype=np.int8)
-        if use_threshold_rule:
-            code[fl > high_edge] = OUTCOME_THRESHOLD_HIGH
-            code[(code == 0) & (fu < low_edge)] = OUTCOME_THRESHOLD_LOW
-        if use_tolerance_rule:
-            code[(code == 0) & (fu - fl < tolerance_width)] = OUTCOME_TOLERANCE
-        pruned = code != 0
-        if pruned.any():
-            done = alive[pruned]
-            out_lower[done] = f_lower[done]
-            out_upper[done] = f_upper[done]
-            out_codes[done] = code[pruned]
-            stats.threshold_prunes_high += int(
-                np.count_nonzero(code == OUTCOME_THRESHOLD_HIGH)
-            )
-            stats.threshold_prunes_low += int(
-                np.count_nonzero(code == OUTCOME_THRESHOLD_LOW)
-            )
-            stats.tolerance_prunes += int(
-                np.count_nonzero(code == OUTCOME_TOLERANCE)
-            )
+            stats.threshold_prunes_high += int(counts[OUTCOME_THRESHOLD_HIGH])
+            stats.threshold_prunes_low += int(counts[OUTCOME_THRESHOLD_LOW])
+            stats.tolerance_prunes += int(counts[OUTCOME_TOLERANCE])
+            if counts[OUTCOME_BUDGET]:
+                out_degraded[done[done_code == OUTCOME_BUDGET]] = True
+                stats.extras[BUDGET_STOPS_KEY] = (
+                    stats.extras.get(BUDGET_STOPS_KEY, 0.0) + int(counts[OUTCOME_BUDGET])
+                )
             if trace is not None:
-                for row, rule_code in zip(done, code[pruned]):
+                for row, rule_code in zip(done, done_code):
                     trace.stop(
                         int(row), _RULE_BY_CODE[rule_code],
-                        f_lower=float(out_lower[row]),
-                        f_upper=float(out_upper[row]),
-                        expansions=int(expansions_used[row]),
+                        f_lower=float(out_lower[row]), f_upper=float(out_upper[row]),
+                        expansions=int(expansions_out[row]),
                     )
-            alive = alive[~pruned]
-            if not alive.size:
+            keep = ~stop
+            rows, live_queries, f_lower, f_upper, used, frow, slot = (
+                array[keep]
+                for array in (rows, live_queries, f_lower, f_upper, used, frow, slot)
+            )
+            if not rows.size:
                 break
-
-        # --- anytime budget: stop capped queries with their current
-        # (valid, possibly vacuous) interval and a degraded marker.
-        if max_expansions is not None:
-            over = expansions_used[alive] >= max_expansions
-            if over.any():
-                done = alive[over]
-                out_lower[done] = np.minimum(f_lower[done], f_upper[done])
-                out_upper[done] = np.maximum(f_lower[done], f_upper[done])
-                out_codes[done] = OUTCOME_BUDGET
-                out_degraded[done] = True
-                stats.extras[BUDGET_STOPS_KEY] = (
-                    stats.extras.get(BUDGET_STOPS_KEY, 0.0) + done.size
+            if 2 * rows.size <= fr_rank.shape[0]:
+                fr_node, fr_lower, fr_upper, fr_rank = (
+                    array[frow] for array in (fr_node, fr_lower, fr_upper, fr_rank)
                 )
-                trace_stops(done, "budget")
-                alive = alive[~over]
-                if not alive.size:
-                    break
+                frow = np.arange(rows.size)
+                slot = frow * capacity + slot % capacity
 
-        # --- pop the loosest frontier entry of every active query.
-        # Heap-order equivalent: minimize (-(upper-lower), seq).
-        lens = fr_len[alive]
-        width_cols = int(lens.max())
-        cols = np.arange(width_cols)
-        sub = np.ix_(alive, cols)
-        valid = cols[None, :] < lens[:, None]
-        rank = np.where(valid, fr_lower[sub] - fr_upper[sub], np.inf)
-        best_rank = rank.min(axis=1)
-        tie = rank == best_rank[:, None]
-        seq_masked = np.where(tie, fr_seq[sub], _SEQ_INF)
-        best_col = np.argmin(seq_masked, axis=1)
+        # --- pop the loosest frontier entry of every live query.
+        node_sel = fr_node.take(slot)
+        lower_sel = fr_lower.take(slot)
+        upper_sel = fr_upper.take(slot)
+        fr_rank.put(slot, np.inf)
+        f_lower -= lower_sel
+        f_upper -= upper_sel
 
-        node_sel = fr_node[alive, best_col]
-        lower_sel = fr_lower[alive, best_col]
-        upper_sel = fr_upper[alive, best_col]
-        # Swap-remove the popped entry (selection is order-independent).
-        last = lens - 1
-        fr_node[alive, best_col] = fr_node[alive, last]
-        fr_lower[alive, best_col] = fr_lower[alive, last]
-        fr_upper[alive, best_col] = fr_upper[alive, last]
-        fr_seq[alive, best_col] = fr_seq[alive, last]
-        fr_len[alive] = last
-
-        f_lower[alive] -= lower_sel
-        f_upper[alive] -= upper_sel
-
-        leaf = flat.left[node_sel] < 0
+        left = flat.left[node_sel]
+        is_leaf = left < 0
 
         # --- leaves: exact vectorized kernel sums, grouped by node so
         # queries that reached the same leaf share one distance matrix.
-        if leaf.any():
-            leaf_rows = alive[leaf]
-            leaf_nodes = node_sel[leaf]
+        leaf_pos = is_leaf.nonzero()[0]
+        if leaf_pos.size:
+            leaf_nodes = node_sel[leaf_pos]
             stats.kernel_evaluations += int(flat.count[leaf_nodes].sum())
-            exact = _leaf_exact_sums(flat, kernel, leaf_nodes, queries[leaf_rows], inv_n)
+            exact = _leaf_exact_sums(flat, kernel, leaf_nodes, live_queries[leaf_pos], inv_n)
             if faults is not None:
                 exact = faults.corrupt_leaves_array(exact)
             if guarded:
                 # Exact sums must land inside the box bounds each leaf
                 # was popped with (catches silent underflow).
                 exact = guard_values_in_intervals(
-                    exact, lower_sel[leaf], upper_sel[leaf], guard_policy, stats,
-                    site="leaf",
+                    exact, lower_sel[leaf_pos], upper_sel[leaf_pos], guard_policy,
+                    stats, site="leaf",
                 )
-            f_lower[leaf_rows] += exact
-            f_upper[leaf_rows] += exact
+            f_lower[leaf_pos] += exact
+            f_upper[leaf_pos] += exact
 
-        # --- internal nodes: bound both children of every popped node
-        # in two vectorized sweeps, then push the non-settled ones.
-        internal = ~leaf
-        if internal.any():
-            int_rows = alive[internal]
-            int_nodes = node_sel[internal]
-            stats.node_expansions += int_rows.size
-            expansions_used[int_rows] += 1
-            int_queries = queries[int_rows]
+        # --- internal nodes: bound both children of every popped node in
+        # one sweep, left pairs first (the fault ordinals and the
+        # `f += left; f += right` order of the reference engine).
+        if leaf_pos.size < rows.size:
+            int_pos = (~is_leaf).nonzero()[0]
+            k = int_pos.size
+            stats.node_expansions += k
+            used[int_pos] += 1
+            pair_pos = np.concatenate((int_pos, int_pos))
+            child_ids = np.concatenate((left[int_pos], flat.right[node_sel[int_pos]]))
+            child_lower, child_upper = pair_box_bounds(
+                flat, child_ids, live_queries[pair_pos], kernel, inv_n
+            )
+            child_lower, child_upper = guard_pair(child_ids, child_lower, child_upper)
+            f_lower[int_pos] += child_lower[:k]
+            f_upper[int_pos] += child_upper[:k]
+            f_lower[int_pos] += child_lower[k:]
+            f_upper[int_pos] += child_upper[k:]
 
-            # Ensure room for both children before pushing.
-            if int(fr_len[int_rows].max()) + 2 > capacity:
-                capacity = max(capacity * 2, int(fr_len.max()) + 2)
-                fr_node = _grow(fr_node, capacity)
-                fr_lower = _grow(fr_lower, capacity)
-                fr_upper = _grow(fr_upper, capacity)
-                fr_seq = _grow(fr_seq, capacity)
-
-            for child_ids in (flat.left[int_nodes], flat.right[int_nodes]):
-                child_lower, child_upper = pair_box_bounds(
-                    flat, child_ids, int_queries, kernel, inv_n
+            if end + 2 > capacity:
+                fr_node, fr_lower, fr_upper, fr_rank, end, capacity = _pack_frontier(
+                    fr_node, fr_lower, fr_upper, fr_rank, frow, end
                 )
-                child_lower, child_upper = guard_pair(
-                    child_ids, child_lower, child_upper
-                )
-                f_lower[int_rows] += child_lower
-                f_upper[int_rows] += child_upper
-                push = child_upper - child_lower > 0.0
-                if push.any():
-                    push_rows = int_rows[push]
-                    slot = fr_len[push_rows]
-                    fr_node[push_rows, slot] = child_ids[push]
-                    fr_lower[push_rows, slot] = child_lower[push]
-                    fr_upper[push_rows, slot] = child_upper[push]
-                    fr_seq[push_rows, slot] = next_seq[push_rows]
-                    next_seq[push_rows] += 1
-                    fr_len[push_rows] = slot + 1
+                frow = np.arange(rows.size)
+            # Only children with a positive-width interval are pushed.
+            rank = child_lower - child_upper
+            rank[~(rank < 0.0)] = np.inf
+            cells = frow[pair_pos] * capacity + end
+            cells[k:] += 1
+            fr_node.put(cells, child_ids)
+            fr_lower.put(cells, child_lower)
+            fr_upper.put(cells, child_upper)
+            fr_rank.put(cells, rank)
+            end += 2
 
         if trace is not None:
-            for row in alive:
-                trace.step(int(row), float(f_lower[row]), float(f_upper[row]))
+            for pos, row in enumerate(rows):
+                trace.step(int(row), float(f_lower[pos]), float(f_upper[pos]))
 
     if REGISTRY.enabled:
         record_traversal_block(
             ENGINE_LABEL,
-            {
-                "threshold_high": int(
-                    np.count_nonzero(out_codes == OUTCOME_THRESHOLD_HIGH)
-                ),
-                "threshold_low": int(
-                    np.count_nonzero(out_codes == OUTCOME_THRESHOLD_LOW)
-                ),
-                "tolerance": int(np.count_nonzero(out_codes == OUTCOME_TOLERANCE)),
-                "budget": int(np.count_nonzero(out_codes == OUTCOME_BUDGET)),
-                "exhausted": int(exhausted_n),
-                "exact": int(exact_n),
-            },
-            expansions_used,
+            {_RULE_BY_CODE[code]: int(retired[code]) for code in range(1, len(_RULE_BY_CODE))},
+            expansions_out,
             stats.kernel_evaluations - kernels_start,
         )
 
@@ -504,8 +469,30 @@ def _exact_full_sums(
     return np.sum(values, axis=1) * inv_n
 
 
-def _grow(array: np.ndarray, capacity: int) -> np.ndarray:
-    """Return ``array`` widened to ``capacity`` columns (zero-padded)."""
-    grown = np.zeros((array.shape[0], capacity), dtype=array.dtype)
-    grown[:, : array.shape[1]] = array
-    return grown
+def _pack_frontier(
+    fr_node: np.ndarray,
+    fr_lower: np.ndarray,
+    fr_upper: np.ndarray,
+    fr_rank: np.ndarray,
+    frow: np.ndarray,
+    end: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """Stable-pack the live slots of frontier rows ``frow`` to the left.
+
+    Rows come back in ``frow`` order; live slots keep their relative (insertion) order, so the argmin
+    tie-break is unchanged. Returns the packed arrays, the new column
+    count in use, and the capacity, doubled until the packed frontier
+    fills at most half of it.
+    """
+    live = fr_rank[frow, :end] != np.inf
+    order = np.argsort(~live, axis=1, kind="stable")
+    new_end = max(int(live.sum(axis=1).max()), 1)
+    capacity = fr_rank.shape[1]
+    while 2 * (new_end + 2) > capacity:
+        capacity *= 2
+    packed = []
+    for array, fill in ((fr_node, 0), (fr_lower, 0.0), (fr_upper, 0.0), (fr_rank, np.inf)):
+        grown = np.full((frow.size, capacity), fill, dtype=array.dtype)
+        grown[:, :new_end] = np.take_along_axis(array[frow, :end], order[:, :new_end], axis=1)
+        packed.append(grown)
+    return (*packed, new_end, capacity)

@@ -36,6 +36,7 @@ __all__ = [
     "REFIT_TOTAL",
     "REFIT_SECONDS",
     "STALENESS_SECONDS",
+    "DRIFT_CHECK_SECONDS",
     "WAL_APPENDS_TOTAL",
     "WAL_FSYNCS_TOTAL",
     "WAL_APPEND_SECONDS",
@@ -48,6 +49,7 @@ __all__ = [
     "record_traversal_block",
     "record_ingest",
     "record_drift_check",
+    "record_drift_check_seconds",
     "record_refit",
     "record_staleness",
     "record_wal_append",
@@ -232,6 +234,16 @@ STALENESS_SECONDS = REGISTRY.gauge(
 )
 
 
+#: Wall seconds of the drift test (window densities + decision), the
+#: last one and the slowest since start: the per-step detection cost the
+#: staleness derivation in docs/streaming.md adds to ``check_interval``.
+DRIFT_CHECK_SECONDS = REGISTRY.gauge(
+    "tkdc_drift_check_seconds",
+    "Wall seconds of the drift test, last and maximum since start",
+    labels=("stat",),
+)
+
+
 def record_ingest(points: int) -> None:
     """Report one ingest batch folded into the pipeline."""
     if REGISTRY.enabled and points:
@@ -242,6 +254,13 @@ def record_drift_check(outcome: str) -> None:
     """Report one drift check's outcome."""
     if REGISTRY.enabled:
         DRIFT_CHECKS_TOTAL.labels(outcome).inc()
+
+
+def record_drift_check_seconds(last: float, maximum: float) -> None:
+    """Report the last and the slowest drift-test wall time."""
+    if REGISTRY.enabled:
+        DRIFT_CHECK_SECONDS.labels("last").set(last)
+        DRIFT_CHECK_SECONDS.labels("max").set(maximum)
 
 
 def record_refit(outcome: str, seconds: float | None = None) -> None:

@@ -138,7 +138,10 @@ def guard_interval_arrays(
     if policy == "off" or lower.size == 0:
         return lower, upper, np.zeros(lower.shape, dtype=bool)
     finite = np.isfinite(lower) & np.isfinite(upper)
-    inverted = finite & (lower > upper)
+    inverted = lower > upper
+    if np.count_nonzero(finite) == finite.size and not np.count_nonzero(inverted):
+        return lower, upper, inverted  # the common case: nothing to repair
+    inverted &= finite
     with np.errstate(invalid="ignore"):  # inf - inf on non-finite rows
         benign = inverted & (lower - upper <= _ACCUMULATION_TOL)
     bad = (~finite) | (inverted & ~benign)

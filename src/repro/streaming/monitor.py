@@ -11,6 +11,14 @@ threshold that falls outside the bracket is therefore evidence, at
 level ``delta``, that the density distribution has moved: the statistical
 trigger for a refit.
 
+A side of the test runs only when the window is large enough for an
+order statistic to carry its ``delta / 2`` tail: the low side needs
+``(1 - p)^s < delta / 2`` (at ``p = 0.01, delta = 0.01`` that is
+``s >= 528``), the high side ``p^s <= delta / 2``. With a smaller window
+the rank clamps to the window's minimum, and a stable stream has no
+point below ``t`` with probability ``(1 - p)^s`` — 7.6% per check at
+``s = 256`` — so that side is not tested at all.
+
 Two practical guards sit on top of the test:
 
 - **hysteresis** — a refit fires only after ``hysteresis`` *consecutive*
@@ -21,10 +29,31 @@ Two practical guards sit on top of the test:
   ``min_refit_interval`` seconds of the previous one, bounding refit
   churn when the distribution moves continuously.
 
-Window densities are *estimates* (``eps * t``-precise, from
-:meth:`~repro.core.classifier.TKDCClassifier.estimate_density`); callers
-pass ``tolerance=eps * t`` so estimation error widens the acceptance
-band instead of eroding the ``delta`` guarantee. The comparison is
+Window densities are *estimates* from the classify traversal
+(:func:`repro.streaming.pipeline.window_densities`: the midpoint of the
+interval each point's label was decided on, or its lower bound for grid
+hits); callers pass ``tolerance=eps * t`` so estimation error widens the
+acceptance band instead of eroding the ``delta`` guarantee. Such an
+estimate ``e`` is of one of two kinds, relative to the exact density
+``d``:
+
+- *threshold-pruned* (or a grid hit): the certified interval lies
+  entirely beyond ``t(1 ± eps)``, so ``e`` and ``d`` are both above
+  ``t(1 + eps)`` or both below ``t(1 - eps)`` — same side of ``t``,
+  however far apart;
+- *everything else* (tolerance-pruned, exhausted, exact fallback, or
+  budget-degraded points re-estimated by the tolerance-only
+  estimator): ``|e - d| <= eps * t / 2``, as with tolerance-only
+  estimation.
+
+So a stream that has not drifted cannot newly trigger a violation.
+Suppose the test on exact densities is stable, ``d_(lo) <= t <=
+d_(hi)``, but ``drift_low`` fires: ``e_(lo) > t + eps * t``. Then at
+least ``s - lo + 1`` estimates exceed ``t(1 + eps)``; none of them is
+LOW-pruned, each threshold-pruned one has ``d > t(1 + eps)`` and each
+other one ``d >= e - eps * t / 2 > t``, so ``d_(lo) > t`` — a
+contradiction. ``drift_high`` is the mirror image (``e_(hi) < t(1 -
+eps)`` forces ``hi`` exact densities below ``t``). The comparison is
 statistically clean because training thresholds live in
 self-contribution-corrected (≈ leave-one-out) density space: a fresh
 point's density under the served model is exactly the quantity the
@@ -156,10 +185,17 @@ class DriftMonitor:
         lo_rank, hi_rank = binomial_order_ci(size, self.p, self.delta)
         ci_lower = float(window_values[lo_rank - 1]) - tolerance
         ci_upper = float(window_values[hi_rank - 1]) + tolerance
+        # A side is tested only if an order statistic can carry its
+        # delta/2 tail. Otherwise its rank clamps to the window's extreme
+        # and a stable stream violates it with probability (1 - p)^s
+        # (low side) or p^s (high side): 7.6% per check at p = 0.01,
+        # s = 256, where delta/2 is 0.5%.
+        low_testable = (1.0 - self.p) ** size < self.delta / 2
+        high_testable = self.p ** size <= self.delta / 2
         self.checks += 1
-        if served_threshold < ci_lower:
+        if low_testable and served_threshold < ci_lower:
             drifted, reason = True, "drift_low"
-        elif served_threshold > ci_upper:
+        elif high_testable and served_threshold > ci_upper:
             drifted, reason = True, "drift_high"
         else:
             drifted, reason = False, "stable"

@@ -52,6 +52,7 @@ from repro.core.incremental import IncrementalTKDC
 from repro.io.models import load_model, resolve_model_path
 from repro.obs.metrics import (
     record_drift_check,
+    record_drift_check_seconds,
     record_ingest,
     record_refit,
     record_staleness,
@@ -219,6 +220,27 @@ class StreamSettings:
         )
         refit = (self.refit_retries + 1) * self.refit_deadline + backoffs
         return detection + refit + self.swap_grace
+
+
+def window_densities(classifier: TKDCClassifier, window: np.ndarray) -> np.ndarray:
+    """Density estimates of drift-window points from the classify traversal.
+
+    Each point's estimate is the midpoint of the interval
+    :meth:`~repro.core.classifier.TKDCClassifier.classify_detailed`
+    decided it on, or its lower bound where the upper one is infinite
+    (grid hits). Budget-degraded points fall back to the tolerance-only
+    estimator. Why this cannot raise a false drift alarm is argued in
+    :mod:`repro.streaming.monitor`.
+    """
+    result = classifier.classify_detailed(window, engine="batch")
+    densities = np.where(
+        np.isinf(result.upper), result.lower, 0.5 * (result.lower + result.upper)
+    )
+    if result.degraded.any():
+        densities[result.degraded] = classifier.estimate_density(
+            window[result.degraded], engine="batch"
+        )
+    return densities
 
 
 class LocalReloader:
@@ -389,6 +411,10 @@ class StreamingPipeline:
         self._ingested_at_last_check = 0
         self._points_per_gap_ewma: float | None = None
         self._check_gap_ewma: float | None = None
+        #: Wall seconds of the last and slowest drift test (window
+        #: densities + decision; a fired refit is timed separately).
+        self._check_seconds_last: float | None = None
+        self._check_seconds_max = 0.0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         if self.wal is not None and self.wal.empty:
@@ -874,19 +900,24 @@ class StreamingPipeline:
                 record_drift_check("skipped")
                 self._publish_staleness_locked()
                 return decision
-            window = np.array(self._window)
+            # The test runs under the pipeline lock. It is one classify
+            # traversal of the window (milliseconds), and holding the
+            # lock keeps it from being convoyed on the GIL behind
+            # threads that ingest or classify through this pipeline:
+            # measured outside the lock, a 4 ms check took 2-10 s of
+            # wall time next to a busy classify loop.
+            started = time.perf_counter()
             classifier = self.model.classifier
-        # Density estimation runs outside the pipeline lock: it only
-        # reads the classifier snapshot (a swap replaces the reference,
-        # never mutates the old object's index).
-        densities = classifier.estimate_density(window)
-        threshold = classifier.threshold.value
-        tolerance = classifier.config.epsilon * threshold
-        decision = self.monitor.observe(
-            densities, threshold, tolerance=tolerance,
-            window=effective if self.settings.adaptive_window else None,
-        )
-        with self._lock:
+            densities = window_densities(classifier, np.array(self._window))
+            threshold = classifier.threshold.value
+            decision = self.monitor.observe(
+                densities, threshold, tolerance=classifier.config.epsilon * threshold,
+                window=effective if self.settings.adaptive_window else None,
+            )
+            elapsed = time.perf_counter() - started
+            self._check_seconds_last = elapsed
+            self._check_seconds_max = max(self._check_seconds_max, elapsed)
+            record_drift_check_seconds(elapsed, self._check_seconds_max)
             self._last_decision = decision
             if decision.drifted and self._drift_since is None:
                 self._drift_since = self._clock()
@@ -1188,6 +1219,10 @@ class StreamingPipeline:
                     None if self._check_gap_ewma is None
                     else float(self._check_gap_ewma)
                 ),
+                "drift_check_seconds": {
+                    "last": self._check_seconds_last,
+                    "max": float(self._check_seconds_max),
+                },
                 "duplicates_skipped": int(self.duplicates_skipped),
                 "sketch": self.sketch.snapshot(),
                 "accounting": self.verify_accounting(),

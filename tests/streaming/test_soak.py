@@ -118,6 +118,10 @@ def test_drift_soak_with_faults(pipeline_factory):
     assert swap_outcome.crashes >= 1, "the transient crash never fired"
     assert swap_outcome.retries >= 1
     assert pipeline.monitor_errors == 0
+    # Each detection step is check_interval plus one drift test; the
+    # staleness derivation (docs/streaming.md) needs the test shorter.
+    check_seconds = pipeline.status()["drift_check_seconds"]["max"]
+    assert 0.0 < check_seconds < pipeline.settings.check_interval
 
     # --- served labels track the post-drift threshold -----------------
     assert pipeline.classify(probe_new_mode)[0] is Label.HIGH
