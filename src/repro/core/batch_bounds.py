@@ -107,8 +107,8 @@ def bound_densities(
     flat: FlatTree,
     kernel: Kernel,
     queries: np.ndarray,
-    t_lower: float,
-    t_upper: float,
+    t_lower: float | np.ndarray,
+    t_upper: float | np.ndarray,
     epsilon: float,
     stats: TraversalStats,
     use_threshold_rule: bool = True,
@@ -140,6 +140,13 @@ def bound_densities(
     ``degraded=True``), vectorized invariant guards at the node, leaf
     and accumulator sites, and deterministic fault injection for tests.
 
+    ``t_lower``/``t_upper`` are scalars or ``(q,)`` arrays. With arrays,
+    each query is pruned against its own threshold rule edges (Algorithm
+    2 applies per query; the streaming path shifts the threshold per row
+    by that row's exact buffer contribution). The tolerance width stays
+    one scalar, ``epsilon * tolerance_reference``, which per-query
+    thresholds therefore require.
+
     ``trace`` is an optional :class:`~repro.obs.trace.TraceRecorder`
     (or view) indexed by position in ``queries``; recording is purely
     additive and changes no arithmetic.
@@ -149,13 +156,27 @@ def bound_densities(
     A :class:`BatchBoundResult` whose intervals each contain the exact
     density of the corresponding query.
     """
-    if t_lower > t_upper:
+    scalar = np.ndim(t_lower) == 0 and np.ndim(t_upper) == 0
+    if scalar and t_lower > t_upper:
         raise ValueError(f"t_lower {t_lower} exceeds t_upper {t_upper}")
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
 
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     q = queries.shape[0]
+    if not scalar:
+        if tolerance_reference is None:
+            raise ValueError("per-query thresholds need a scalar tolerance_reference")
+        t_lower, t_upper = (
+            np.broadcast_to(np.asarray(t, dtype=np.float64), (q,))
+            for t in (t_lower, t_upper)
+        )
+        inverted = np.flatnonzero(t_lower > t_upper)
+        if inverted.size:
+            row = inverted[0]
+            raise ValueError(
+                f"t_lower {t_lower[row]} exceeds t_upper {t_upper[row]} at query {row}"
+            )
     lower = np.empty(q)
     upper = np.empty(q)
     codes = np.zeros(q, dtype=np.int8)
@@ -165,8 +186,12 @@ def bound_densities(
     for begin in range(0, q, block_size):
         stop = min(begin + block_size, q)
         block_trace = None if trace is None else trace.view(range(begin, stop))
+        block_lower, block_upper = (
+            (t_lower, t_upper) if scalar
+            else (t_lower[begin:stop], t_upper[begin:stop])
+        )
         _bound_block(
-            flat, kernel, queries[begin:stop], t_lower, t_upper, epsilon, stats,
+            flat, kernel, queries[begin:stop], block_lower, block_upper, epsilon, stats,
             use_threshold_rule, use_tolerance_rule, tolerance_reference,
             threshold_shift, eta,
             lower[begin:stop], upper[begin:stop], codes[begin:stop],
@@ -182,8 +207,8 @@ def _bound_block(
     flat: FlatTree,
     kernel: Kernel,
     queries: np.ndarray,
-    t_lower: float,
-    t_upper: float,
+    t_lower: float | np.ndarray,
+    t_upper: float | np.ndarray,
     epsilon: float,
     stats: TraversalStats,
     use_threshold_rule: bool,
@@ -228,8 +253,10 @@ def _bound_block(
     # Rule edges are loop constants (identical expressions to
     # repro.core.pruning.threshold_rule / tolerance_rule, including the
     # eta widening — `f_l - eta > edge` is applied as `f_l > edge + eta`).
+    # Per-query thresholds make them per-row arrays, packed with `rows`.
     high_edge = t_upper * (1.0 + epsilon) + threshold_shift + eta
     low_edge = t_lower * (1.0 - epsilon) + threshold_shift - eta
+    per_query_edges = np.ndim(high_edge) > 0
     reference = t_lower if tolerance_reference is None else tolerance_reference
     tolerance_width = epsilon * reference - 2.0 * eta
 
@@ -347,6 +374,8 @@ def _bound_block(
                 array[keep]
                 for array in (rows, live_queries, f_lower, f_upper, used, frow, slot)
             )
+            if per_query_edges:
+                high_edge, low_edge = high_edge[keep], low_edge[keep]
             if not rows.size:
                 break
             if 2 * rows.size <= fr_rank.shape[0]:

@@ -8,8 +8,11 @@ continuously. This wrapper keeps tKDC usable in that setting:
   every classification *exactly* (the buffer is small, so a vectorized
   brute-force sum over it is cheap);
 - the pruning threshold for the indexed part is algebraically shifted
-  so the decision is against the combined density — the accuracy
-  guarantee relative to the current model's threshold is preserved;
+  per query so the decision is against the combined density — the
+  accuracy guarantee relative to the current model's threshold is
+  preserved — and every request's rows share one batched traversal
+  (:func:`~repro.core.batch_bounds.bound_densities` with per-query
+  thresholds);
 - once the buffer outgrows ``refit_fraction`` of the indexed set, the
   model is retrained from scratch (new bandwidth, index, and threshold,
   per the paper's training procedure) — unless ``auto_refit=False``,
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bounds import bound_density
+from repro.core.batch_bounds import bound_densities
 from repro.core.classifier import TKDCClassifier
 from repro.core.config import TKDCConfig
 from repro.core.result import ClassificationResult, Label
@@ -237,11 +240,13 @@ class IncrementalTKDC:
         """Combined-density classification with degradation diagnostics.
 
         For each query the buffered contribution is summed exactly and
-        the indexed part is bounded with a correspondingly shifted
+        the indexed part is bounded against a correspondingly shifted
         threshold, so the decision is equivalent to classifying the full
-        current dataset's density against the model threshold. The
-        returned bounds are on the *combined* density and compare
-        against :attr:`ClassificationResult.threshold` exactly like
+        current dataset's density against the model threshold. All rows
+        of one call share a single batched traversal, each pruned
+        against its own shifted threshold. The returned bounds are on
+        the *combined* density and compare against
+        :attr:`ClassificationResult.threshold` exactly like
         :meth:`TKDCClassifier.classify_detailed` — the serving daemon
         routes streaming requests through this path with the same
         payload shape as batch ones.
@@ -251,7 +256,6 @@ class IncrementalTKDC:
         config = clf.config
         kernel = clf.kernel
         threshold = clf.threshold.value
-        epsilon = config.epsilon
         eta = clf._rule_eta
         n_indexed = self.n_indexed
         n_total = self.n_total
@@ -273,47 +277,46 @@ class IncrementalTKDC:
                 degraded=degraded, invalid=invalid, threshold=threshold,
             )
         scaled = kernel.scale(matrix[valid_rows])
-        buffer = (
-            kernel.scale(self.buffer_view) if self._buffer_count else None
-        )
-        faults = clf._traversal_injector()
-        for local, row in enumerate(valid_rows):
-            query = scaled[local]
-            buffer_sum = 0.0
-            if buffer is not None:
-                buffer_sum = kernel.sum_at(buffer, query)
-                clf.stats.kernel_evaluations += buffer.shape[0]
-            # f_total = (n_indexed * f_idx + buffer_sum) / n_total > t
-            #   <=>  f_idx > (t * n_total - buffer_sum) / n_indexed.
-            shifted = (threshold * n_total - buffer_sum) / n_indexed
-            if shifted <= 0.0:
-                # The buffer alone already pushes the density over t;
-                # the indexed part can only add to it.
-                labels[row] = Label.HIGH
-                lower[row] = buffer_sum / n_total
-                clf.stats.queries += 1
-                continue
-            result = bound_density(
-                clf.tree, kernel, query, shifted, shifted, epsilon, clf.stats,
+        buffer_sums = np.zeros(valid_rows.size)
+        if self._buffer_count:
+            buffer = kernel.scale(self.buffer_view)
+            for local, query in enumerate(scaled):
+                buffer_sums[local] = kernel.sum_at(buffer, query)
+            clf.stats.kernel_evaluations += buffer.shape[0] * valid_rows.size
+        # f_total = (n_indexed * f_idx + buffer_sum) / n_total > t
+        #   <=>  f_idx > (t * n_total - buffer_sum) / n_indexed.
+        shifted = (threshold * n_total - buffer_sums) / n_indexed
+        # Where the buffer alone already pushes the density over t, the
+        # indexed part can only add to it.
+        cleared = shifted <= 0.0
+        rows = valid_rows[cleared]
+        labels[rows] = Label.HIGH
+        lower[rows] = buffer_sums[cleared] / n_total
+        clf.stats.queries += rows.size
+        traversed = np.flatnonzero(~cleared)
+        if traversed.size:
+            shifted = shifted[traversed]
+            result = bound_densities(
+                clf.tree.flatten(), kernel, scaled[traversed], shifted, shifted,
+                config.epsilon, clf.stats,
                 use_threshold_rule=config.use_threshold_rule,
                 use_tolerance_rule=config.use_tolerance_rule,
                 tolerance_reference=threshold,
                 eta=eta,
+                block_size=config.batch_block_size,
                 max_expansions=config.max_node_expansions,
                 guard_policy=config.guard_policy,
-                faults=faults,
+                faults=clf._traversal_injector(),
             )
-            lo = max(result.lower - eta, 0.0)
-            up = result.upper + eta
+            rows = valid_rows[traversed]
+            sums = buffer_sums[traversed]
             # Map the indexed-part bounds back to combined-density space
             # (the same affine shift, so straddle-vs-threshold tests are
             # equivalent to the shifted-threshold decision).
-            lower[row] = (n_indexed * lo + buffer_sum) / n_total
-            upper[row] = (n_indexed * up + buffer_sum) / n_total
-            degraded[row] = result.degraded
-            labels[row] = (
-                Label.HIGH if result.midpoint > shifted else Label.LOW
-            )
+            lower[rows] = (n_indexed * np.maximum(result.lower - eta, 0.0) + sums) / n_total
+            upper[rows] = (n_indexed * (result.upper + eta) + sums) / n_total
+            degraded[rows] = result.degraded
+            labels[rows[result.midpoint > shifted]] = Label.HIGH
         return ClassificationResult(
             labels=labels, lower=lower, upper=upper,
             degraded=degraded, invalid=invalid, threshold=threshold,

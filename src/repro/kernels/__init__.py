@@ -11,7 +11,6 @@ to bounding boxes.
 
 from repro.kernels.bandwidth import scotts_rule, silverman_rule
 from repro.kernels.base import Kernel
-from repro.kernels.crossval import select_bandwidth_scale
 from repro.kernels.epanechnikov import EpanechnikovKernel
 from repro.kernels.factory import KERNELS, kernel_for_data
 from repro.kernels.gaussian import GaussianKernel
@@ -32,7 +31,6 @@ __all__ = [
     "TriweightKernel",
     "KERNELS",
     "kernel_for_data",
-    "select_bandwidth_scale",
     "scotts_rule",
     "silverman_rule",
 ]

@@ -17,7 +17,9 @@ order statistic to carry its ``delta / 2`` tail: the low side needs
 ``s >= 528``), the high side ``p^s <= delta / 2``. With a smaller window
 the rank clamps to the window's minimum, and a stable stream has no
 point below ``t`` with probability ``(1 - p)^s`` — 7.6% per check at
-``s = 256`` — so that side is not tested at all.
+``s = 256`` — so that side is not tested at all. Each decision carries
+``low_testable``/``high_testable``, and the pipeline reports them in
+its status as ``drift_sides``, so an untested side is visible.
 
 Two practical guards sit on top of the test:
 
@@ -88,6 +90,9 @@ class DriftDecision:
     ci_upper: float = float("nan")
     window: int = 0
     consecutive: int = 0  #: consecutive violating checks including this one
+    #: Whether each side of the test can fire at this window size.
+    low_testable: bool = False
+    high_testable: bool = False
 
     def as_dict(self) -> dict:
         return {
@@ -100,6 +105,8 @@ class DriftDecision:
             "ci_upper": self.ci_upper,
             "window": self.window,
             "consecutive": self.consecutive,
+            "low_testable": self.low_testable,
+            "high_testable": self.high_testable,
         }
 
 
@@ -157,6 +164,20 @@ class DriftMonitor:
         self.violations = 0
         self.fires = 0
 
+    def testable_sides(self, size: int) -> tuple[bool, bool]:
+        """Whether the (low, high) side of the test can fire at window ``size``.
+
+        A side is tested only if an order statistic can carry its
+        delta/2 tail. Otherwise its rank clamps to the window's extreme
+        and a stable stream violates it with probability (1 - p)^s
+        (low side) or p^s (high side): 7.6% per check at p = 0.01,
+        s = 256, where delta/2 is 0.5%.
+        """
+        return (
+            (1.0 - self.p) ** size < self.delta / 2,
+            self.p ** size <= self.delta / 2,
+        )
+
     def observe(
         self,
         densities: np.ndarray,
@@ -174,24 +195,19 @@ class DriftMonitor:
         clamped below at 8, the CI's minimum sample size.
         """
         size = self.window if window is None else max(8, int(window))
+        low_testable, high_testable = self.testable_sides(size)
         densities = np.asarray(densities, dtype=np.float64)
         densities = densities[np.isfinite(densities)]
         if densities.shape[0] < size:
             return DriftDecision(
                 checked=False, drifted=False, fired=False,
                 reason="window_filling", window=int(densities.shape[0]),
+                low_testable=low_testable, high_testable=high_testable,
             )
         window_values = np.sort(densities[-size:])
         lo_rank, hi_rank = binomial_order_ci(size, self.p, self.delta)
         ci_lower = float(window_values[lo_rank - 1]) - tolerance
         ci_upper = float(window_values[hi_rank - 1]) + tolerance
-        # A side is tested only if an order statistic can carry its
-        # delta/2 tail. Otherwise its rank clamps to the window's extreme
-        # and a stable stream violates it with probability (1 - p)^s
-        # (low side) or p^s (high side): 7.6% per check at p = 0.01,
-        # s = 256, where delta/2 is 0.5%.
-        low_testable = (1.0 - self.p) ** size < self.delta / 2
-        high_testable = self.p ** size <= self.delta / 2
         self.checks += 1
         if low_testable and served_threshold < ci_lower:
             drifted, reason = True, "drift_low"
@@ -219,6 +235,7 @@ class DriftMonitor:
             checked=True, drifted=drifted, fired=fired, reason=reason,
             threshold=served_threshold, ci_lower=ci_lower, ci_upper=ci_upper,
             window=size, consecutive=self._consecutive,
+            low_testable=low_testable, high_testable=high_testable,
         )
 
     def note_refit(self) -> None:

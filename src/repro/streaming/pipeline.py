@@ -892,9 +892,11 @@ class StreamingPipeline:
             self._update_cadence_locked()
             effective = self._effective_window_locked()
             if len(self._window) < effective:
+                low_testable, high_testable = self.monitor.testable_sides(effective)
                 decision = DriftDecision(
                     checked=False, drifted=False, fired=False,
                     reason="window_filling", window=len(self._window),
+                    low_testable=low_testable, high_testable=high_testable,
                 )
                 self._last_decision = decision
                 record_drift_check("skipped")
@@ -1091,6 +1093,13 @@ class StreamingPipeline:
             if self._thread is not None:
                 return
             self._stop.clear()
+            window = self._effective_window_locked()
+            if not self.monitor.testable_sides(window)[0]:
+                log.warning(
+                    "drift monitor: the low side (drift_low) cannot fire at "
+                    "window %d with p=%g, delta=%g; raise monitor_window (--drift-window)",
+                    window, self.monitor.p, self.monitor.delta,
+                )
             self._thread = threading.Thread(
                 target=self._monitor_loop, name="tkdc-drift-monitor", daemon=True
             )
@@ -1201,6 +1210,8 @@ class StreamingPipeline:
                 None if self._last_refit is None else self._last_refit.as_dict()
             )
             last_swap = None if self._last_swap is None else self._last_swap.as_dict()
+            effective = int(self._effective_window_locked())
+            low_testable, high_testable = self.monitor.testable_sides(effective)
             return {
                 "generation": int(self.model.generation),
                 "n_total": int(self.model.n_total),
@@ -1214,7 +1225,8 @@ class StreamingPipeline:
                 ),
                 "staleness_bound_seconds": self.settings.staleness_bound,
                 "monitor_errors": int(self.monitor_errors),
-                "monitor_window_effective": int(self._effective_window_locked()),
+                "monitor_window_effective": effective,
+                "drift_sides": {"low": low_testable, "high": high_testable},
                 "check_gap_ewma_seconds": (
                     None if self._check_gap_ewma is None
                     else float(self._check_gap_ewma)

@@ -87,6 +87,25 @@ class TestDecisions:
         assert not widened.drifted
 
 
+class TestTestableSides:
+    def test_low_side_needs_528_points_at_p_001(self):
+        monitor = make_monitor(p=0.01, delta=0.01)
+        assert monitor.testable_sides(256) == (False, True)
+        assert monitor.testable_sides(527) == (False, True)
+        assert monitor.testable_sides(528) == (True, True)
+        assert monitor.testable_sides(600) == (True, True)
+
+    def test_decisions_carry_the_sides(self):
+        monitor = make_monitor(p=0.01, delta=0.01, window=256)
+        rng = np.random.default_rng(0)
+        filling = monitor.observe(rng.uniform(size=10), 0.01).as_dict()
+        checked = monitor.observe(rng.uniform(size=256), 0.01).as_dict()
+        for decision in (filling, checked):
+            assert (decision["low_testable"], decision["high_testable"]) == (False, True)
+        wide = monitor.observe(rng.uniform(size=600), 0.01, window=600).as_dict()
+        assert (wide["low_testable"], wide["high_testable"]) == (True, True)
+
+
 class TestHysteresis:
     def test_fires_only_after_consecutive_violations(self):
         monitor = make_monitor(hysteresis=2)

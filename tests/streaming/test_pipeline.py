@@ -1,15 +1,16 @@
 """Unit tests for the streaming pipeline's wiring and accounting."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from repro import Label, TKDCClassifier
+from repro import Label, TKDCClassifier, TKDCConfig
 from repro.serve.reload import prepare_classifier
 from repro.streaming import LocalReloader, StreamingPipeline, StreamSettings
 
-from .conftest import FAST_SETTINGS
+from .conftest import FAST_CONFIG, FAST_SETTINGS
 
 
 class TestSettings:
@@ -158,6 +159,28 @@ class TestLifecycle:
             assert key in status
         assert status["accounting"]["ok"]
         assert status["window_fill"] == 64
+
+
+class TestDriftSides:
+    """At p = 0.01, delta = 0.01 the low side needs a window of 528."""
+
+    @pytest.mark.parametrize("window, low", [(256, False), (600, True)])
+    def test_status_and_start_warning(self, base_data, tmp_path, caplog, window, low):
+        settings = {**FAST_SETTINGS, "drift_delta": 0.01, "monitor_window": window}
+        pipeline = StreamingPipeline.from_data(
+            base_data, TKDCConfig(**{**FAST_CONFIG, "p": 0.01}),
+            settings=StreamSettings(**settings), artifact_dir=tmp_path,
+        )
+        try:
+            assert pipeline.status()["drift_sides"] == {"low": low, "high": True}
+            with caplog.at_level(logging.WARNING, logger="repro.streaming"):
+                pipeline.start()
+            warned = [r for r in caplog.records if "drift_low" in r.getMessage()]
+            assert len(warned) == (0 if low else 1)
+            decision = pipeline.check_drift_once().as_dict()
+            assert (decision["low_testable"], decision["high_testable"]) == (low, True)
+        finally:
+            pipeline.stop(join=True)
 
 
 class TestFromClassifier:

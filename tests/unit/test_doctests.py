@@ -13,12 +13,10 @@ import repro.bench.harness
 import repro.core.classifier
 import repro.core.incremental
 import repro.io.datasets
-import repro.kernels.crossval
 
 MODULES = [
     repro.core.classifier,
     repro.core.incremental,
-    repro.kernels.crossval,
     repro.io.datasets,
     repro.bench.charts,
     repro.bench.harness,
