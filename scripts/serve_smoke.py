@@ -1,11 +1,15 @@
 """End-to-end smoke of the serving daemon as a real OS process.
 
-Fits a tiny model, then runs two phases:
+Fits a tiny model, then runs three phases:
 
 1. **Single process** — launches ``python -m repro serve``, waits for
    readiness, exercises the health/classify/statz endpoints, then sends
    SIGTERM and requires a clean drain (exit code 0).
-2. **Fleet** — relaunches with ``--workers 2`` (router + shared-memory
+2. **Streaming** — relaunches with ``--streaming --wal-dir``: a keyed
+   ingest is acknowledged and logged, a NaN ingest is refused with 400
+   and never logged, a classify sees the ingested cluster, ``/statz``
+   accounting holds, and SIGTERM drains cleanly.
+3. **Fleet** — relaunches with ``--workers 2`` (router + shared-memory
    workers), SIGKILLs one worker mid-load, and requires zero dropped
    requests, a respawned worker, a balanced accounting invariant, and
    no leaked ``/dev/shm`` segments after shutdown.
@@ -39,6 +43,7 @@ from repro.serve.stats import TERMINAL_OUTCOMES  # noqa: E402
 
 PORT = 7399
 FLEET_PORT = 7398
+STREAM_PORT = 7397
 
 
 def fail(message: str, process: subprocess.Popen | None = None) -> int:
@@ -140,6 +145,53 @@ def single_process_phase(model_path: Path) -> int:
     return 0
 
 
+def streaming_phase(model_path: Path, wal_dir: Path) -> int:
+    process = launch(model_path, STREAM_PORT, "--streaming", "--wal-dir", str(wal_dir))
+    client = ServeClient("127.0.0.1", STREAM_PORT, timeout=30.0)
+    spot = [0.0, 6.0]  # empty region of the two-mode smoke model
+    try:
+        if not client.wait_ready(60.0):
+            return fail("streaming daemon never became ready", process)
+
+        cluster = np.asarray(spot) + np.random.default_rng(5).normal(
+            scale=0.05, size=(200, 2)
+        )
+        status, payload = client.ingest(cluster, source="smoke", seq=1)
+        if status != 200 or payload["ingested"] != 200 or not payload["durable"]:
+            return fail(f"keyed ingest: {status} {payload}", process)
+        __, statz = client.statz()
+        appends = statz["streaming"]["wal"]["appends"]
+
+        # json.dumps writes the NaN literal; the daemon must refuse the
+        # row before the WAL makes it durable.
+        status, payload = client.ingest([[float("nan"), 0.0]])
+        if status != 400:
+            return fail(f"NaN ingest not rejected: {status} {payload}", process)
+
+        status, payload = client.classify([spot, [-2.0, 0.0]], deadline_ms=2000)
+        if status != 200 or payload["labels"] != [1, 1]:
+            return fail(f"streaming classify: {status} {payload}", process)
+
+        status, statz = client.statz()
+        streaming = statz["streaming"]
+        if status != 200 or not streaming["accounting"]["ok"]:
+            return fail(f"streaming accounting: {status} {streaming}", process)
+        if streaming["wal"]["appends"] != appends or streaming["ingested_total"] != 200:
+            return fail(f"NaN ingest reached the WAL: {streaming}", process)
+        counters = [statz[f"ingest_{name}"] for name in ("submitted", "completed", "rejected")]
+        if counters != [2, 1, 1]:
+            return fail(f"ingest counters off: {statz}", process)
+    except OSError as exc:
+        return fail(f"streaming daemon connection failed: {exc}", process)
+
+    code = terminate_cleanly(process, "streaming daemon")
+    if code is not None:
+        return code
+    print("serve smoke phase 2 OK: --streaming --wal-dir -> keyed ingest 200 "
+          "-> NaN ingest 400, not logged -> classify -> accounting ok -> SIGTERM drain")
+    return 0
+
+
 def fleet_phase(model_path: Path) -> int:
     segments_before = shm_segments()
     process = launch(model_path, FLEET_PORT, "--workers", "2")
@@ -223,7 +275,7 @@ def fleet_phase(model_path: Path) -> int:
     if leaked:
         return fail(f"leaked /dev/shm segments: {sorted(leaked)}")
     print(
-        f"serve smoke phase 2 OK: fleet of 2 -> kill pid {victim} -> "
+        f"serve smoke phase 3 OK: fleet of 2 -> kill pid {victim} -> "
         f"{statuses.count(200)} ok / {len(statuses)} answered, 0 dropped "
         "-> respawn -> SIGTERM drain, no shm leaks"
     )
@@ -243,11 +295,14 @@ def main() -> int:
         code = single_process_phase(model_path)
         if code != 0:
             return code
+        code = streaming_phase(model_path, Path(tmp) / "wal")
+        if code != 0:
+            return code
         code = fleet_phase(model_path)
         if code != 0:
             return code
 
-    print("serve smoke OK: single-process + fleet phases passed")
+    print("serve smoke OK: single-process + streaming + fleet phases passed")
     return 0
 
 

@@ -17,9 +17,6 @@ from repro.kernels.base import Kernel
 from repro.kernels.factory import kernel_for_data
 from repro.validation import as_finite_matrix
 
-#: Cap on the number of pairwise distances materialized at once.
-_MAX_PAIR_BLOCK = 4_000_000
-
 
 class NaiveKDE:
     """Exact kernel density estimation by explicit summation.
@@ -72,14 +69,5 @@ class NaiveKDE:
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         scaled_queries = self._kernel.scale(queries)
         n = self._scaled.shape[0]
-        m = scaled_queries.shape[0]
-        chunk = max(1, _MAX_PAIR_BLOCK // n)
-        out = np.empty(m)
-        for start in range(0, m, chunk):
-            block = scaled_queries[start : start + chunk]
-            # (q, n, d) differences collapse to (q, n) squared distances.
-            diffs = block[:, None, :] - self._scaled[None, :, :]
-            sq = np.einsum("qnd,qnd->qn", diffs, diffs)
-            out[start : start + block.shape[0]] = np.sum(self._kernel.value(sq), axis=1) / n
-            self._evaluations += block.shape[0] * n
-        return out
+        self._evaluations += scaled_queries.shape[0] * n
+        return self._kernel.sums_at(self._scaled, scaled_queries) / n

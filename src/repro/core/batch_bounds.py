@@ -490,12 +490,7 @@ def _exact_full_sums(
     flat: FlatTree, kernel: Kernel, rows: np.ndarray, inv_n: float
 ) -> np.ndarray:
     """Brute-force exact densities for a few queries (guard fallback)."""
-    diffs = rows[:, None, :] - flat.points[None, :, :]
-    sq = np.einsum("kmd,kmd->km", diffs, diffs)
-    values = kernel.value(sq)
-    if flat.point_weights is not None:
-        values = values * flat.point_weights[None, :]
-    return np.sum(values, axis=1) * inv_n
+    return kernel.sums_at(flat.points, rows, flat.point_weights) * inv_n
 
 
 def _pack_frontier(

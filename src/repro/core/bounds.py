@@ -188,12 +188,7 @@ def bound_density(
 
     def exact_fallback() -> BoundResult:
         """Brute-force density after an unrepairable accumulator: exact."""
-        diffs = tree.points - query
-        sq = np.einsum("ij,ij->i", diffs, diffs)
-        values = kernel.value(sq)
-        if point_weights is not None:
-            values = values * point_weights
-        exact = float(np.sum(values)) * inv_n
+        exact = kernel.sum_at(tree.points, query, point_weights) * inv_n
         stats.extras[EXACT_FALLBACKS_KEY] = (
             stats.extras.get(EXACT_FALLBACKS_KEY, 0.0) + 1.0
         )
@@ -300,13 +295,8 @@ def bound_density(
 
         if node.is_leaf:
             points = tree.leaf_points(node)
-            if point_weights is None:
-                exact = kernel.sum_at(points, query) * inv_n
-            else:
-                weights = point_weights[node.start : node.end]
-                diffs = points - query
-                sq = np.einsum("ij,ij->i", diffs, diffs)
-                exact = float(np.sum(weights * kernel.value(sq))) * inv_n
+            weights = None if point_weights is None else point_weights[node.start : node.end]
+            exact = kernel.sum_at(points, query, weights) * inv_n
             stats.kernel_evaluations += node.count
             if faults is not None:
                 exact = faults.corrupt_leaf(exact)

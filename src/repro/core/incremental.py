@@ -5,8 +5,10 @@ MacroBase-style explanation engines the paper cites) see data arrive
 continuously. This wrapper keeps tKDC usable in that setting:
 
 - new points are buffered and their kernel contributions folded into
-  every classification *exactly* (the buffer is small, so a vectorized
-  brute-force sum over it is cheap);
+  every classification *exactly*: one blocked brute-force sum
+  (:meth:`~repro.kernels.base.Kernel.sums_at`) per request, costing
+  O(rows x buffered) kernel evaluations — nothing prunes the buffer,
+  so this cost grows with it until the next refit clears it;
 - the pruning threshold for the indexed part is algebraically shifted
   per query so the decision is against the combined density — the
   accuracy guarantee relative to the current model's threshold is
@@ -42,6 +44,7 @@ from repro.core.classifier import TKDCClassifier
 from repro.core.config import TKDCConfig
 from repro.core.result import ClassificationResult, Label
 from repro.core.stats import TraversalStats
+from repro.validation import as_insert_rows
 
 #: Initial preallocated buffer rows (grown geometrically afterwards).
 _MIN_BUFFER_CAPACITY = 256
@@ -202,17 +205,14 @@ class IncrementalTKDC:
         return self
 
     def insert(self, points: np.ndarray) -> None:
-        """Add new observations; refits automatically when due."""
+        """Add new observations; refits automatically when due.
+
+        Raises ``ValueError``, storing nothing, for rows of the wrong
+        dimensionality or holding NaN or infinity.
+        """
         if self._classifier is None:
             raise RuntimeError("IncrementalTKDC is not fitted; call fit() first")
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        dim = self._classifier.kernel.dim
-        if points.ndim != 2 or points.shape[1] != dim:
-            raise ValueError(
-                f"insert dimensionality {points.shape[-1]} does not match "
-                f"the model dimensionality {dim}"
-            )
-        self._append_to_buffer(points)
+        self._append_to_buffer(as_insert_rows(points, self._classifier.kernel.dim, "insert"))
         if (
             self.auto_refit
             and self._indexed is not None
@@ -277,12 +277,8 @@ class IncrementalTKDC:
                 degraded=degraded, invalid=invalid, threshold=threshold,
             )
         scaled = kernel.scale(matrix[valid_rows])
-        buffer_sums = np.zeros(valid_rows.size)
-        if self._buffer_count:
-            buffer = kernel.scale(self.buffer_view)
-            for local, query in enumerate(scaled):
-                buffer_sums[local] = kernel.sum_at(buffer, query)
-            clf.stats.kernel_evaluations += buffer.shape[0] * valid_rows.size
+        buffer_sums = kernel.sums_at(kernel.scale(self.buffer_view), scaled)
+        clf.stats.kernel_evaluations += self._buffer_count * valid_rows.size
         # f_total = (n_indexed * f_idx + buffer_sum) / n_total > t
         #   <=>  f_idx > (t * n_total - buffer_sum) / n_indexed.
         shifted = (threshold * n_total - buffer_sums) / n_indexed

@@ -14,10 +14,6 @@ import numpy as np
 
 from repro.coresets.base import Coreset
 
-#: Exact-KDE evaluation proceeds in probe chunks of this many rows so the
-#: (chunk, n) distance matrix stays comfortably in cache/RAM.
-_PROBE_CHUNK = 256
-
 
 def exact_density(
     scaled_points: np.ndarray,
@@ -28,16 +24,7 @@ def exact_density(
     """Brute-force (weighted) KDE of ``scaled_probes`` under ``kernel``."""
     n = scaled_points.shape[0]
     total = float(weights.sum()) if weights is not None else float(n)
-    out = np.empty(scaled_probes.shape[0])
-    for start in range(0, scaled_probes.shape[0], _PROBE_CHUNK):
-        chunk = scaled_probes[start : start + _PROBE_CHUNK]
-        diffs = chunk[:, None, :] - scaled_points[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", diffs, diffs)
-        values = kernel.value(sq.ravel()).reshape(sq.shape)
-        if weights is not None:
-            values = values * weights[None, :]
-        out[start : start + _PROBE_CHUNK] = values.sum(axis=1) / total
-    return out
+    return kernel.sums_at(scaled_points, scaled_probes, weights) / total
 
 
 def empirical_eta(

@@ -19,6 +19,11 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+#: Cap on query-row x point pairs per :meth:`Kernel.sums_at` block, so each
+#: temporary holds at most 128 KiB of pairs (twice that raised a daemon's
+#: peak RSS; measured at d = 2 only). Above 8,192 points a block is one row.
+_MAX_BLOCK_PAIRS = 16_384
+
 
 class Kernel(ABC):
     """A normalized product/radial kernel with diagonal bandwidth.
@@ -130,15 +135,53 @@ class Kernel(ABC):
         points = np.asarray(points, dtype=np.float64)
         return points / self._bandwidth
 
-    def sum_at(self, scaled_points: np.ndarray, scaled_query: np.ndarray) -> float:
-        """Sum of kernel values from ``scaled_points`` at one scaled query.
+    def sum_at(
+        self,
+        scaled_points: np.ndarray,
+        scaled_query: np.ndarray,
+        weights: np.ndarray | None = None,
+    ) -> float:
+        """Unaveraged kernel sum at one scaled query: :meth:`sums_at`'s arithmetic, unblocked."""
+        return float(self._point_sums(scaled_points, scaled_query, weights))
 
-        ``scaled_points`` has shape ``(m, d)``; returns the *unaveraged*
-        total (callers divide by the training-set size).
+    def sums_at(
+        self,
+        scaled_points: np.ndarray,
+        scaled_queries: np.ndarray,
+        weights: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Unaveraged kernel sums from ``(m, d)`` points at each ``(q, d)`` query.
+
+        Both arrays are bandwidth-scaled (callers divide by the training-set
+        size); ``weights`` (``(m,)``) scales each point's value. Query rows
+        go in blocks of at most :data:`_MAX_BLOCK_PAIRS` pairs, always
+        against all ``m`` points, so each sum is one pairwise reduction.
         """
-        diffs = scaled_points - scaled_query
-        sq_dists = np.einsum("ij,ij->i", diffs, diffs)
-        return float(np.sum(self.value(sq_dists)))
+        sums = np.empty(scaled_queries.shape[0])
+        step = max(1, _MAX_BLOCK_PAIRS // max(scaled_points.shape[0], 1))
+        for start in range(0, sums.size, step):
+            sums[start : start + step] = self._point_sums(
+                scaled_points, scaled_queries[start : start + step], weights
+            )
+        return sums
+
+    def _point_sums(self, points: np.ndarray, queries: np.ndarray, weights) -> np.ndarray:
+        """Sums over all ``points`` at one ``(d,)`` query or at ``(k, d)`` rows.
+
+        Squared distances accumulate one dimension at a time over column
+        views (no copy): at ``d = 2`` the same two products and one addition
+        as an ``einsum`` over the last axis, so the sums are bit-identical.
+        """
+        columns = points.T
+        # A block's coordinates broadcast as (k, 1) against each column.
+        coords = queries.T[..., None] if queries.ndim == 2 else queries
+        sq = np.square(columns[0] - coords[0])
+        for column, coord in zip(columns[1:], coords[1:]):
+            sq += np.square(column - coord)
+        values = self.value(sq)
+        if weights is not None:
+            values *= weights
+        return values.sum(axis=-1)
 
     def cutoff_radius(self, max_tail_value: float) -> float:
         """Scaled radius beyond which a single point contributes at most

@@ -74,6 +74,7 @@ from repro.streaming.wal import (
     WalError,
     WriteAheadLog,
 )
+from repro.validation import as_insert_rows
 
 log = logging.getLogger("repro.streaming")
 
@@ -243,6 +244,12 @@ def window_densities(classifier: TKDCClassifier, window: np.ndarray) -> np.ndarr
     return densities
 
 
+def _finite_rows(points: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rows of ``points`` with every coordinate finite, and how many were not."""
+    keep = np.isfinite(points).all(axis=1)
+    return points[keep], int(keep.size - np.count_nonzero(keep))
+
+
 class LocalReloader:
     """Verified swap for pipelines with no daemon attached.
 
@@ -406,6 +413,9 @@ class StreamingPipeline:
         self._classifier_path: str | None = None
         #: Populated by :meth:`recover`; surfaced in status()/"/statz".
         self.recovery: dict | None = None
+        #: Non-finite rows :meth:`recover` dropped from a log or
+        #: checkpoint written before ingest refused them.
+        self.replay_rows_dropped = 0
         #: Adaptive-window cadence estimate (EWMA of points per check gap).
         self._last_check_at: float | None = None
         self._ingested_at_last_check = 0
@@ -483,6 +493,12 @@ class StreamingPipeline:
         lives outside the WAL — pass the daemon's ``--model``), and a
         recorded artifact that no longer loads. Recovery statistics land
         in :attr:`recovery` (and ``/statz``'s ``streaming.recovery``).
+
+        Rows holding NaN or infinity, which ingest refuses but earlier
+        versions logged, are dropped from the checkpoint (buffer, sketch,
+        drift window) and from replayed batches, un-counted from
+        ``ingested_total``, reported as ``replay_rows_dropped`` in
+        :meth:`status` and named in one warning.
 
         A fresh snapshot is written at the end, so the next recovery
         starts from the recovered state rather than re-replaying.
@@ -569,11 +585,25 @@ class StreamingPipeline:
             model, settings=settings, reloader=reloader,
             artifact_dir=artifact_dir, plan=plan, wal=wal, clock=clock,
         )
+        dropped_from_checkpoint = 0
         if state is not None:
-            pipeline.sketch = StreamSketch.restore(state["sketch"])
-            pipeline._sketch_base = int(state["sketch_base"])
+            sketch = dict(state["sketch"])
+            if sketch["points"] is not None:
+                # The sketch's n_seen still counts every point it folded.
+                keep = np.isfinite(sketch["points"]).all(axis=1)
+                sketch["points"], sketch["weights"] = (
+                    (sketch["points"][keep], sketch["weights"][keep])
+                    if keep.any() else (None, None)
+                )
+            buffer = state["buffer"]
+            if buffer is not None:
+                buffer, dropped_from_checkpoint = _finite_rows(buffer)
+            pipeline.sketch = StreamSketch.restore(sketch)
+            # Un-count dropped buffer rows from ingested_total, and move
+            # the sketch's base with them so the two still agree.
+            pipeline._sketch_base = int(state["sketch_base"]) + dropped_from_checkpoint
             pipeline.initial_n = int(state["initial_n"])
-            pipeline.ingested_total = int(state["ingested_total"])
+            pipeline.ingested_total = int(state["ingested_total"]) - dropped_from_checkpoint
             pipeline.duplicates_skipped = int(state["duplicates_skipped"])
             pipeline.refits_triggered = int(state["refits_triggered"])
             pipeline.refits_succeeded = int(state["refits_succeeded"])
@@ -586,13 +616,14 @@ class StreamingPipeline:
                 s: set(p) for s, p in state.get("pending_seqs", {}).items()
             }
             pipeline._classifier_path = state.get("classifier_path")
-            if state["buffer"] is not None:
-                pipeline.model.insert(state["buffer"])
+            if buffer is not None and buffer.shape[0]:
+                pipeline.model.insert(buffer)
             if state["window"] is not None:
-                pipeline._window.extend(state["window"])
+                pipeline._window.extend(_finite_rows(state["window"])[0])
 
         counts: dict[str, int] = {}
         points_replayed = 0
+        dropped_from_log = 0
         skipped_swaps = 0
         pending_triggers: dict[int, dict] = {}
         for record in records:
@@ -607,6 +638,10 @@ class StreamingPipeline:
                             pipeline.duplicates_skipped += 1
                             continue
                         pipeline._mark_seq_applied_locked(source, seq)
+                points, dropped = _finite_rows(points)
+                dropped_from_log += dropped
+                if not points.shape[0]:
+                    continue
                 pipeline.model.insert(points)
                 pipeline.sketch.append(points)
                 pipeline._window.extend(points)
@@ -665,6 +700,15 @@ class StreamingPipeline:
                 pipeline._refit_generation, *pending_triggers
             )
 
+        pipeline.replay_rows_dropped = dropped_from_checkpoint + dropped_from_log
+        if pipeline.replay_rows_dropped:
+            log.warning(
+                "recovery: dropped %d non-finite rows (%d from the checkpoint "
+                "buffer, %d from replayed ingest batches) that an earlier "
+                "version accepted; they are no longer counted as ingested",
+                pipeline.replay_rows_dropped, dropped_from_checkpoint,
+                dropped_from_log,
+            )
         pipeline.recovery = {
             "recovered": state is not None,
             "records_replayed": int(sum(counts.values())),
@@ -756,18 +800,16 @@ class StreamingPipeline:
         because concurrent forwards can arrive here out of seq order, a
         late lower-seq batch is applied, not dropped. Sequence numbers
         are assigned per source from 1 upward, each used exactly once
-        (``source_seq`` must be >= 1).
+        (``source_seq`` must be >= 1). A row of the wrong dimensionality
+        or holding NaN or infinity raises ``ValueError`` before anything
+        is logged or applied.
         """
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         rows = int(points.shape[0])
         if rows == 0:
             return {"accepted": 0, "duplicate": False}
-        dim = self.model.classifier.kernel.dim
-        if points.ndim != 2 or points.shape[1] != dim:
-            raise ValueError(
-                f"ingest dimensionality {points.shape[-1]} does not match "
-                f"the model dimensionality {dim}"
-            )
+        # Checked before the WAL append would make a bad row durable.
+        points = as_insert_rows(points, self.model.classifier.kernel.dim, "ingest")
         keyed = source is not None and source_seq is not None
         if keyed:
             source_seq = int(source_seq)
@@ -1236,6 +1278,7 @@ class StreamingPipeline:
                     "max": float(self._check_seconds_max),
                 },
                 "duplicates_skipped": int(self.duplicates_skipped),
+                "replay_rows_dropped": int(self.replay_rows_dropped),
                 "sketch": self.sketch.snapshot(),
                 "accounting": self.verify_accounting(),
                 "wal": None if self.wal is None else self.wal.stats(),

@@ -37,6 +37,25 @@ def as_finite_matrix(data: np.ndarray, name: str = "data") -> np.ndarray:
     return matrix
 
 
+def as_insert_rows(points: np.ndarray, dim: int, name: str) -> np.ndarray:
+    """Float64 rows to add to a fitted ``dim``-d model, all finite.
+
+    Raises ``ValueError`` otherwise, naming the first non-finite row: one
+    stored NaN poisons every later density it contributes to.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if points.ndim != 2 or points.shape[1] != dim:
+        raise ValueError(
+            f"{name} dimensionality {points.shape[-1]} does not match "
+            f"the model dimensionality {dim}"
+        )
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"{name} row {row} is not finite: {points[row].tolist()}")
+    return points
+
+
 def as_query_matrix(
     queries: np.ndarray,
     dim: int,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.streaming import StreamingPipeline, StreamSettings
+from repro.streaming.wal import WriteAheadLog
 
 #: Fast pipeline settings for endpoint tests (no background thread).
 PIPE_SETTINGS = StreamSettings(
@@ -76,6 +77,44 @@ class TestWithPipeline:
         assert submitted == terminal == len(cases)
         assert server.stats.ingest_rejected == len(cases)
         assert server.stats.ingested_points == 0
+
+    def test_nan_ingest_refused_and_never_logged(self, server_factory, tmp_path):
+        """Regression: one NaN row used to be accepted and written to the
+        WAL, after which every streaming classify answered LOW with NaN
+        bounds, durably across restarts."""
+        server, client = server_factory()
+        pipeline = StreamingPipeline.from_classifier(
+            server.manager.classifier, settings=PIPE_SETTINGS,
+            reloader=server.manager, artifact_dir=tmp_path,
+            wal=WriteAheadLog(tmp_path / "wal"),
+        )
+        server.attach_pipeline(pipeline, start=False)
+        try:
+            rng = np.random.default_rng(2)
+            probes = {"points": rng.uniform(-4.0, 4.0, size=(64, 2)).tolist()}
+            status, body = client.request("POST", "/ingest", {"points": [[0.5, 0.5]] * 8})
+            assert status == 200
+            n_total = body["n_total"]
+            status, before = client.request("POST", "/classify", probes)
+            assert status == 200 and 1 in before["labels"]
+            appends = pipeline.wal.appends
+            # json.dumps writes the NaN literal, which json.loads accepts.
+            status, body = client.request("POST", "/ingest", {"points": [[float("nan"), 0.0]]})
+            assert status == 400
+            assert "not finite" in body["detail"]
+            assert pipeline.wal.appends == appends
+            assert pipeline.model.n_total == n_total
+            status, after = client.request("POST", "/classify", probes)
+            assert status == 200
+            assert after["labels"] == before["labels"]
+            assert after["degraded"] == before["degraded"]
+            submitted, terminal = ingest_invariant(server.stats)
+            assert submitted == terminal == 2
+            assert server.stats.ingest_rejected == 1
+            status, snapshot = client.statz()
+            assert status == 200 and snapshot["streaming"]["accounting"]["ok"]
+        finally:
+            pipeline.stop(join=True)
 
     def test_served_classify_includes_ingested_points(self, streaming_server):
         """Regression: /classify used to clone the manager's batch

@@ -4,7 +4,8 @@
 in one :func:`~repro.core.batch_bounds.bound_densities` call, each row
 pruned against its own shifted threshold. The oracle below is the
 per-row :func:`~repro.core.bounds.bound_density` loop that path used
-before: labels, ``degraded``/``invalid`` flags and every
+before, with the per-row ``einsum`` buffer sum: labels,
+``degraded``/``invalid`` flags and every
 :class:`~repro.core.stats.TraversalStats` counter must be identical,
 and bounds may differ only by the vector-vs-scalar summation drift.
 """
@@ -51,7 +52,9 @@ def per_row_oracle(model: IncrementalTKDC, queries: np.ndarray):
         query = scaled[local]
         buffer_sum = 0.0
         if buffer is not None:
-            buffer_sum = kernel.sum_at(buffer, query)
+            # The per-row einsum sum (independent of Kernel.sums_at).
+            diffs = buffer - query
+            buffer_sum = float(np.sum(kernel.value(np.einsum("ij,ij->i", diffs, diffs))))
             clf.stats.kernel_evaluations += buffer.shape[0]
         shifted = (threshold * n_total - buffer_sum) / n_indexed
         if shifted <= 0.0:
@@ -122,6 +125,16 @@ def test_matches_per_row_loop(buffered, budget):
         assert stats.tolerance_prunes
     else:
         assert stats.extras["budget_stops"]
+
+
+def test_buffer_spanning_several_sum_blocks():
+    # 9,000 buffered rows leave Kernel.sums_at three query rows per
+    # block, so one 96-row request spans 32 blocks of the buffer sum.
+    model = fitted()
+    model.insert(np.random.default_rng(5).normal(size=(9000, 2)))
+    assert_matches_oracle(model, spread_queries(96))
+    result = model.classify_detailed(spread_queries(96))
+    assert (result.labels == Label.HIGH).any() and (result.labels == Label.LOW).any()
 
 
 def test_flagged_nan_row_and_buffer_cleared_row():

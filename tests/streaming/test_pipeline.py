@@ -55,6 +55,19 @@ class TestIngestAndServe:
             pipeline.ingest(np.zeros((3, 5)))
         assert pipeline.ingested_total == 0
 
+    def test_ingest_rejects_non_finite_before_the_wal(self, pipeline_factory, tmp_path):
+        pipeline = pipeline_factory(wal_dir=tmp_path / "wal")
+        appends = pipeline.wal.appends
+        points = np.zeros((4, 2))
+        points[2, 1] = np.nan
+        with pytest.raises(ValueError, match="ingest row 2 is not finite"):
+            pipeline.ingest_batch(points, source="s", source_seq=1)
+        assert pipeline.wal.appends == appends
+        assert pipeline.ingested_total == 0 and pipeline.model.n_buffered == 0
+        # The refused key was not consumed: a clean retry applies.
+        assert pipeline.ingest_batch(np.zeros((4, 2)), source="s", source_seq=1)["accepted"] == 4
+        assert pipeline.verify_accounting()["ok"]
+
     def test_ingested_points_affect_answers(self, pipeline_factory):
         pipeline = pipeline_factory()
         spot = np.array([[6.0, 6.0]])

@@ -5,6 +5,8 @@ flock are dropped without the final snapshot, exactly the footprint of
 a SIGKILL. The soak test covers the real-subprocess version.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,79 @@ class TestRecoverAfterCrash:
         WriteAheadLog(wal_dir).close()  # empty log, no snapshot
         with pytest.raises(WalError, match="fallback_classifier"):
             StreamingPipeline.recover(wal_dir, settings=_settings())
+
+
+class TestNonFiniteReplay:
+    """Regression: ingest refuses NaN/inf rows, but logs and checkpoints
+    written before it did can hold them; replaying them through that
+    check made ``recover`` raise, so the daemon never started."""
+
+    def assert_finite_state(self, recovered, ingested):
+        assert recovered.ingested_total == ingested
+        assert recovered.model.n_total == recovered.initial_n + ingested
+        accounting = recovered.verify_accounting()
+        assert accounting["ok"], accounting
+        assert np.isfinite(recovered.model.buffer_view).all()
+        assert np.isfinite(np.array(recovered._window)).all()
+        assert np.isfinite(recovered.sketch.state()["points"]).all()
+        probes = np.random.default_rng(3).uniform(-3.0, 3.0, size=(32, 2))
+        result = recovered.model.classify_detailed(probes)
+        assert np.isfinite(result.lower).all()
+
+    def test_logged_batch_rows_are_dropped_and_counted(
+        self, pipeline_factory, wal_dir, recovered_pipelines, caplog
+    ):
+        pipeline = pipeline_factory(wal_dir=wal_dir)
+        fallback = pipeline.model.classifier
+        rng = np.random.default_rng(13)
+        pipeline.ingest_batch(rng.normal(size=(20, 2)) * 0.5, source="ep1", source_seq=1)
+        poisoned = rng.normal(size=(5, 2)) * 0.5
+        poisoned[1, 0] = np.nan
+        poisoned[3, 1] = np.inf
+        # Appended unchecked, as ingest did before it refused such rows.
+        pipeline.wal.append_ingest(poisoned, {"source": "ep1", "seq": 2})
+        pipeline.wal.append_ingest(np.full((2, 2), np.nan), {})
+        pipeline.ingest_batch(rng.normal(size=(10, 2)) * 0.5, source="ep1", source_seq=3)
+        pipeline.wal.abandon()
+
+        with caplog.at_level(logging.WARNING, logger="repro.streaming"):
+            recovered = _recover(
+                recovered_pipelines, wal_dir,
+                settings=pipeline.settings, fallback_classifier=fallback,
+            )
+        self.assert_finite_state(recovered, ingested=33)
+        assert recovered.recovery["points_replayed"] == 33
+        assert recovered.recovery["replayed_by_type"] == {"ingest": 4}
+        assert recovered.status()["replay_rows_dropped"] == 4
+        assert "dropped 4 non-finite rows" in caplog.text
+        # The poisoned batch's key stays applied: a retry is a duplicate.
+        assert recovered.ingest_batch(
+            np.zeros((1, 2)), source="ep1", source_seq=2
+        )["duplicate"]
+
+    def test_checkpoint_rows_are_dropped_and_counted(
+        self, pipeline_factory, wal_dir, recovered_pipelines
+    ):
+        pipeline = pipeline_factory(wal_dir=wal_dir)
+        fallback = pipeline.model.classifier
+        pipeline.ingest(np.random.default_rng(14).normal(size=(30, 2)) * 0.5)
+        poisoned = np.array([[np.nan, 0.0], [0.5, 0.5], [-np.inf, 1.0]])
+        # The state ingest reached before it refused such rows.
+        with pipeline._lock:
+            pipeline.model._append_to_buffer(poisoned)
+            pipeline.sketch.append(poisoned)
+            pipeline._window.extend(poisoned)
+            pipeline.ingested_total += poisoned.shape[0]
+        pipeline.stop(join=True)  # the shutdown snapshot holds the rows
+
+        recovered = _recover(
+            recovered_pipelines, wal_dir,
+            settings=pipeline.settings, fallback_classifier=fallback,
+        )
+        assert recovered.recovery["records_replayed"] == 0
+        self.assert_finite_state(recovered, ingested=31)
+        assert recovered.status()["replay_rows_dropped"] == 2
+        assert recovered.sketch.n_seen == pipeline.sketch.n_seen
 
 
 class TestOutOfOrderIngest:

@@ -36,6 +36,14 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="dimensionality"):
             model.insert(np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_insert_stores_nothing(self, model, bad):
+        points = np.zeros((3, 2))
+        points[1, 0] = bad
+        with pytest.raises(ValueError, match="insert row 1 is not finite"):
+            model.insert(points)
+        assert model.n_buffered == 0
+
     def test_refit_triggers(self, medium_gauss, rng):
         model = IncrementalTKDC(TKDCConfig(p=0.05, seed=0), refit_fraction=0.1)
         model.fit(medium_gauss)
