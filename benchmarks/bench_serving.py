@@ -6,10 +6,10 @@ synthetic gauss model and drives it through three phases:
 - **steady**: offered load inside the admission capacity — the
   baseline p50/p99 service latency of the full pipeline (HTTP parse,
   admission, budgeting, watchdog, JSON response).
-- **overload**: several times more concurrent clients than execution
-  slots — measures how much traffic is shed with structured 429s and
-  verifies latency of the *answered* requests stays bounded instead of
-  queueing without limit.
+- **overload**: twice as many concurrent clients as the admission
+  capacity (one execution slot plus the queue) — measures how much
+  traffic is shed with structured 429s and verifies latency of the
+  *answered* requests stays bounded instead of queueing without limit.
 - **tight deadlines**: per-request deadlines far below what the full
   traversal needs — measures how often the anytime budget produces
   honestly-flagged degraded answers instead of deadline blowups.
@@ -104,8 +104,7 @@ def workers_sweep(model_path: Path, smoke: bool, rng: np.random.Generator) -> di
         config = ServeConfig(
             port=0,
             workers=workers,
-            max_concurrency=2,
-            queue_depth=4,
+            queue_depth=5,
             default_deadline=2.0,
             calibration_queries=64 if smoke else 256,
         )
@@ -216,8 +215,7 @@ def run_benchmark(smoke: bool) -> dict:
     scale = 1 if smoke else 4
     config = ServeConfig(
         port=0,
-        max_concurrency=2,
-        queue_depth=4,
+        queue_depth=5,
         default_deadline=2.0,
         calibration_queries=64 if smoke else 256,
     )
@@ -231,7 +229,7 @@ def run_benchmark(smoke: bool) -> dict:
             phases = {
                 # Offered load ~= capacity: latency baseline.
                 "steady": drive(client, 2, 10 * scale, 2_000.0, rng),
-                # 6x the slot count: shedding must kick in.
+                # 12 clients against 1 slot + 5 queued: shedding must kick in.
                 "overload": drive(client, 12, 5 * scale, 2_000.0, rng),
                 # Deadlines below the full-traversal time: degraded answers.
                 "tight_deadline": drive(client, 2, 10 * scale, 2.0, rng),
@@ -251,10 +249,7 @@ def run_benchmark(smoke: bool) -> dict:
         "benchmark": "serving",
         **report_metadata(),
         "n_train": N_TRAIN_SMOKE if smoke else N_TRAIN,
-        "serve_config": {
-            "max_concurrency": config.max_concurrency,
-            "queue_depth": config.queue_depth,
-        },
+        "serve_config": {"queue_depth": config.queue_depth},
         "expansions_per_second": statz["expansions_per_second"],
         "phases": phases,
         "fleet_scaling": fleet_scaling,

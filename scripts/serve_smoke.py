@@ -3,8 +3,10 @@
 Fits a tiny model, then runs three phases:
 
 1. **Single process** — launches ``python -m repro serve``, waits for
-   readiness, exercises the health/classify/statz endpoints, then sends
-   SIGTERM and requires a clean drain (exit code 0).
+   readiness, exercises the health/classify/statz endpoints through one
+   keep-alive ``ServeClient``, requires the daemon's thread count to
+   stay flat across 200 more classifies, sends ``/admin/drain`` on the
+   same connection, then sends SIGTERM and requires a clean exit (code 0).
 2. **Streaming** — relaunches with ``--streaming --wal-dir``: a keyed
    ingest is acknowledged and logged, a NaN ingest is refused with 400
    and never logged, a classify sees the ingested cluster, ``/statz``
@@ -86,6 +88,18 @@ def terminate_cleanly(process: subprocess.Popen, what: str) -> int | None:
     return None
 
 
+def thread_count(pid: int) -> int | None:
+    """The ``Threads:`` line of ``/proc/<pid>/status`` (None off Linux)."""
+    try:
+        with open(f"/proc/{pid}/status") as status:
+            for line in status:
+                if line.startswith("Threads:"):
+                    return int(line.split()[1])
+    except OSError:
+        return None
+    return None
+
+
 def single_process_phase(model_path: Path) -> int:
     process = launch(model_path, PORT)
     client = ServeClient("127.0.0.1", PORT, timeout=30.0)
@@ -134,6 +148,26 @@ def single_process_phase(model_path: Path) -> int:
         ):
             if needle not in text:
                 return fail(f"metrics missing {needle!r}:\n{text}", process)
+
+        # Classifies run on one standing worker and the client keeps its
+        # connection, so 200 more requests must not add daemon threads.
+        threads_before = thread_count(process.pid)
+        for __ in range(200):
+            status, payload = client.classify([[-2.0, 0.0]], deadline_ms=2000)
+            if status != 200:
+                return fail(f"classify: {status} {payload}", process)
+        threads_after = thread_count(process.pid)
+        if threads_before is not None and threads_after > threads_before + 1:
+            return fail(
+                f"daemon threads grew {threads_before} -> {threads_after} "
+                "over 200 classifies", process,
+            )
+
+        # The drain's body must be consumed like any other on the
+        # kept-alive connection the requests above used.
+        status, payload = client.drain()
+        if status != 202 or payload.get("status") != "draining":
+            return fail(f"drain: {status} {payload}", process)
     except OSError as exc:
         return fail(f"daemon connection failed: {exc}", process)
 
@@ -141,7 +175,8 @@ def single_process_phase(model_path: Path) -> int:
     if code is not None:
         return code
     print("serve smoke phase 1 OK: ready -> classify -> statz -> metrics "
-          "-> SIGTERM drain")
+          f"-> 200 classifies, threads {threads_before} -> {threads_after} "
+          "-> drain 202 -> SIGTERM exit 0")
     return 0
 
 

@@ -89,11 +89,10 @@ def _add_serve_parser(subparsers: argparse._SubParsersAction) -> None:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7317,
                        help="bind port (0 picks an ephemeral port)")
-    serve.add_argument("--max-concurrency", type=int, default=4,
-                       help="requests classifying simultaneously")
     serve.add_argument("--queue-depth", type=int, default=16,
-                       help="waiting slots beyond --max-concurrency; "
-                            "arrivals past that are shed with a 429")
+                       help="requests that may wait for the one classify "
+                            "slot per process; arrivals past that are "
+                            "shed with a 429")
     serve.add_argument("--default-deadline-ms", type=float, default=1000.0,
                        help="deadline granted to requests that name none")
     serve.add_argument("--max-rows", type=int, default=4096,
@@ -284,7 +283,6 @@ def _serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        max_concurrency=args.max_concurrency,
         queue_depth=args.queue_depth,
         default_deadline=args.default_deadline_ms / 1000.0,
         max_rows=args.max_rows,

@@ -21,13 +21,12 @@ class ServeConfig:
     host / port:
         Bind address. Port 0 binds an ephemeral port (tests); the bound
         port is reported by ``TKDCServer.port``.
-    max_concurrency:
-        Requests classifying simultaneously. Arrivals beyond this wait
-        in the admission queue.
     queue_depth:
-        Waiting slots beyond ``max_concurrency``. An arrival that finds
-        queue and slots full is shed immediately with a structured 429
-        — overload degrades throughput, never latency.
+        Requests that may wait for the process's one execution slot
+        (its standing classify worker; more parallelism comes from
+        ``workers``). An arrival that finds the slot busy and the queue
+        full is shed immediately with a structured 429 — overload
+        degrades throughput, never latency.
     retry_after:
         Baseline seconds suggested in 429/503 ``retry_after`` hints;
         scaled up with the current backlog.
@@ -87,7 +86,6 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 7317
-    max_concurrency: int = 4
     queue_depth: int = 16
     retry_after: float = 0.25
     max_request_bytes: int = 1 << 20
@@ -115,10 +113,6 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.port < 0 or self.port > 65535:
             raise ValueError(f"port must be in [0, 65535], got {self.port}")
-        if self.max_concurrency < 1:
-            raise ValueError(
-                f"max_concurrency must be >= 1, got {self.max_concurrency}"
-            )
         if self.queue_depth < 0:
             raise ValueError(f"queue_depth must be >= 0, got {self.queue_depth}")
         if self.retry_after <= 0:

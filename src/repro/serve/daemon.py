@@ -2,12 +2,14 @@
 
 Four robustness layers wrap every classification request:
 
-1. **Admission control** — at most ``max_concurrency`` requests
-   classify at once; up to ``queue_depth`` more wait. Anything beyond
-   that is shed *immediately* with a structured 429 carrying
-   ``retry_after``, so overload degrades throughput instead of latency.
-   Per-request byte and row limits reject oversized work before it
-   costs anything.
+1. **Admission control** — one request classifies at a time, on the
+   process's standing classify worker (:class:`ClassifyWorker`; two
+   classifying threads in one process only trade the GIL, so more
+   parallelism comes from the fleet's processes); up to
+   ``queue_depth`` more wait. Anything beyond that is shed
+   *immediately* with a structured 429 carrying ``retry_after``, so
+   overload degrades throughput instead of latency. Per-request byte
+   and row limits reject oversized work before it costs anything.
 2. **Deadline propagation** — each request carries ``deadline_ms``
    (bounded by ``max_deadline``). The remaining deadline at execution
    start is translated into a per-query ``max_node_expansions`` anytime
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import json
 import logging
+import queue
 import signal
 import threading
 import time
@@ -55,20 +58,29 @@ from repro.serve.stats import ServerStats
 log = logging.getLogger("repro.serve")
 
 
-class AdmissionController:
-    """Bounded-queue admission: a capacity gate plus execution slots.
+def too_large(max_request_bytes: int, received_bytes: int) -> dict:
+    """The 413 payload for a body over ``max_request_bytes``."""
+    return {
+        "error": "request_too_large",
+        "max_request_bytes": max_request_bytes,
+        "received_bytes": received_bytes,
+    }
 
-    ``try_admit`` is the load-shedding decision (capacity =
-    concurrency + queue depth); ``acquire_slot`` is the queue wait for
-    one of the ``max_concurrency`` execution slots, bounded by the
+
+class AdmissionController:
+    """Bounded-queue admission: a capacity gate plus one execution slot.
+
+    ``try_admit`` is the load-shedding decision (capacity = the slot
+    plus the queue depth); ``acquire_slot`` is the queue wait for the
+    execution slot — the process's one classify worker — bounded by the
     request's own remaining deadline.
     """
 
-    def __init__(self, max_concurrency: int, queue_depth: int) -> None:
-        self.capacity = max_concurrency + queue_depth
+    def __init__(self, queue_depth: int) -> None:
+        self.capacity = 1 + queue_depth
         self._lock = threading.Lock()
         self._admitted = 0
-        self._slots = threading.Semaphore(max_concurrency)
+        self._slot = threading.Lock()
 
     def try_admit(self) -> bool:
         with self._lock:
@@ -78,17 +90,78 @@ class AdmissionController:
             return True
 
     def acquire_slot(self, timeout: float) -> bool:
-        return self._slots.acquire(timeout=max(timeout, 0.0))
+        return self._slot.acquire(timeout=max(timeout, 0.0))
 
     def release(self, slot_held: bool) -> None:
         if slot_held:
-            self._slots.release()
+            self._slot.release()
         with self._lock:
             self._admitted -= 1
 
     def admitted(self) -> int:
         with self._lock:
             return self._admitted
+
+
+class ClassifyWorker:
+    """The one standing thread that runs a daemon's classify jobs.
+
+    A traversal makes hundreds of small numpy calls, so two threads
+    classifying in one process pass the GIL back and forth on every
+    call and finish later than one thread running both in turn. The
+    admission controller's single slot keeps at most one job here.
+
+    ``run`` hands a job to the thread and waits at most ``timeout``
+    seconds. A job that overruns is abandoned: a replacement thread
+    takes the next job, and the generation check makes the wedged
+    thread exit if its job ever returns.
+    """
+
+    def __init__(self) -> None:
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._generation = 0
+        self._start()
+
+    def _start(self) -> None:
+        threading.Thread(
+            target=self._loop, args=(self._generation,),
+            name="tkdc-classify", daemon=True,
+        ).start()
+
+    def _loop(self, generation: int) -> None:
+        while True:
+            job = self._jobs.get()
+            if job is None:
+                return
+            job()
+            with self._lock:
+                if generation != self._generation:
+                    return
+
+    def run(self, job, timeout: float) -> bool:
+        """Run ``job()`` on the worker; False when it overran ``timeout``."""
+        done = threading.Event()
+
+        def wrapped() -> None:
+            try:
+                job()
+            finally:
+                done.set()
+
+        self._jobs.put(wrapped)
+        if done.wait(timeout):
+            return True
+        with self._lock:
+            if done.is_set():
+                return True
+            self._generation += 1
+            self._start()
+        return False
+
+    def stop(self) -> None:
+        """Let the idle worker exit (a wedged one exits when it returns)."""
+        self._jobs.put(None)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -112,6 +185,9 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for key, value in (headers or {}).items():
             self.send_header(key, str(value))
+        if self.close_connection:
+            # Tell keep-alive clients to drop this connection.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -142,30 +218,32 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         received_at = time.monotonic()
         length = int(self.headers.get("Content-Length") or 0)
+        limit = self.server.serve_config.max_request_bytes
+        if length > limit:
+            # Refuse without reading the oversized body; the unread
+            # bytes make the connection unusable, so close it.
+            self.close_connection = True
+            if self.path == "/classify":
+                status, payload = self.server.reject_oversized(length)
+            elif self.path == "/ingest":
+                status, payload = self.server.reject_oversized_ingest(length)
+            else:
+                status, payload = 413, too_large(limit, length)
+            self._send_json(status, payload)
+            return
+        # Every path reads its declared body, so the next request on a
+        # keep-alive connection starts at its own first byte.
+        raw = self.rfile.read(length) if length else b""
         if self.path == "/classify":
-            if length > self.server.serve_config.max_request_bytes:
-                # Refuse without reading the oversized body; the unread
-                # bytes make the connection unusable, so close it.
-                self.close_connection = True
-                self._send_json(*self.server.reject_oversized(length), {})
-                return
-            raw = self.rfile.read(length) if length else b""
             status, payload, headers = self.server.handle_classify(raw, received_at)
             self._send_json(status, payload, headers)
         elif self.path == "/ingest":
-            if length > self.server.serve_config.max_request_bytes:
-                self.close_connection = True
-                self._send_json(*self.server.reject_oversized_ingest(length))
-                return
-            raw = self.rfile.read(length) if length else b""
             status, payload = self.server.handle_ingest(raw)
             self._send_json(status, payload)
         elif self.path == "/admin/reload":
-            raw = self.rfile.read(length) if length else b""
             status, payload = self.server.handle_reload(raw)
             self._send_json(status, payload)
         elif self.path == "/admin/adopt-ingest":
-            raw = self.rfile.read(length) if length else b""
             status, payload = self.server.handle_adopt_ingest(raw)
             self._send_json(status, payload)
         elif self.path == "/admin/drain":
@@ -182,8 +260,9 @@ class TKDCServer(ThreadingHTTPServer):
     """Threaded HTTP server wrapping a :class:`ModelManager`.
 
     One OS thread per connection (stdlib ``ThreadingHTTPServer``);
-    classification concurrency is governed by the admission controller,
-    not the thread count. All handler logic lives in methods here so
+    classification runs on the one standing :class:`ClassifyWorker`,
+    whose slot the admission controller hands out, whatever the thread
+    count. All handler logic lives in methods here so
     tests can drive the policy layer without sockets too.
     """
 
@@ -200,9 +279,8 @@ class TKDCServer(ThreadingHTTPServer):
         self.serve_config = config
         self.manager = manager
         self.stats = stats if stats is not None else manager.stats
-        self.admission = AdmissionController(
-            config.max_concurrency, config.queue_depth
-        )
+        self.admission = AdmissionController(config.queue_depth)
+        self.classify_worker = ClassifyWorker()
         self.breaker = CircuitBreaker(
             window=config.breaker_window,
             min_requests=config.breaker_min_requests,
@@ -233,6 +311,10 @@ class TKDCServer(ThreadingHTTPServer):
     def port(self) -> int:
         """The actually bound port (resolves port 0 to the ephemeral one)."""
         return self.server_address[1]
+
+    def server_close(self) -> None:
+        super().server_close()
+        self.classify_worker.stop()
 
     # ------------------------------------------------------------------
     # Observability endpoints
@@ -298,21 +380,13 @@ class TKDCServer(ThreadingHTTPServer):
         """Terminal accounting for a body refused before it was read."""
         self.stats.bump("submitted")
         self.stats.bump("rejected")
-        return 413, {
-            "error": "request_too_large",
-            "max_request_bytes": self.serve_config.max_request_bytes,
-            "received_bytes": length,
-        }
+        return 413, too_large(self.serve_config.max_request_bytes, length)
 
     def reject_oversized_ingest(self, length: int) -> tuple[int, dict]:
         """Terminal accounting for an ingest body refused unread."""
         self.stats.bump("ingest_submitted")
         self.stats.bump("ingest_rejected")
-        return 413, {
-            "error": "request_too_large",
-            "max_request_bytes": self.serve_config.max_request_bytes,
-            "received_bytes": length,
-        }
+        return 413, too_large(self.serve_config.max_request_bytes, length)
 
     def handle_ingest(self, raw: bytes) -> tuple[int, dict]:
         """Fold a batch of points into the attached streaming pipeline.
@@ -335,11 +409,7 @@ class TKDCServer(ThreadingHTTPServer):
             return 503, {"error": "draining"}
         if len(raw) > self.serve_config.max_request_bytes:
             stats.bump("ingest_rejected")
-            return 413, {
-                "error": "request_too_large",
-                "max_request_bytes": self.serve_config.max_request_bytes,
-                "received_bytes": len(raw),
-            }
+            return 413, too_large(self.serve_config.max_request_bytes, len(raw))
         try:
             points, _deadline, body = self._parse_request(raw)
         except _BadRequest as exc:
@@ -474,11 +544,7 @@ class TKDCServer(ThreadingHTTPServer):
             }
         if len(raw) > config.max_request_bytes:
             stats.bump("rejected")
-            return 413, {
-                "error": "request_too_large",
-                "max_request_bytes": config.max_request_bytes,
-                "received_bytes": len(raw),
-            }, {}
+            return 413, too_large(config.max_request_bytes, len(raw)), {}
 
         try:
             points, deadline_s, _body = self._parse_request(raw)
@@ -542,14 +608,13 @@ class TKDCServer(ThreadingHTTPServer):
         config = self.serve_config
         stats = self.stats
         box: dict[str, object] = {}
-        done = threading.Event()
 
         def work() -> None:
             try:
                 # With a streaming pipeline attached, serve the
                 # combined density (ingested points answered exactly
                 # via the snapshot's buffer). Snapshotting inside the
-                # watchdogged worker keeps a wedged pipeline lock from
+                # watchdogged job keeps a wedged pipeline lock from
                 # hanging the handler thread.
                 stream = (
                     self.pipeline.serving_view()
@@ -560,17 +625,15 @@ class TKDCServer(ThreadingHTTPServer):
                 )
             except BaseException as exc:  # noqa: BLE001 - reported as 500
                 box["error"] = exc
-            finally:
-                done.set()
 
-        worker = threading.Thread(target=work, name="tkdc-classify", daemon=True)
         started = time.monotonic()
-        worker.start()
-        finished = done.wait(remaining + config.watchdog_grace)
+        finished = self.classify_worker.run(
+            work, remaining + config.watchdog_grace
+        )
         elapsed = time.monotonic() - started
         if not finished:
-            # The worker is wedged (stall, livelock): abandon it — it is
-            # a daemon thread holding no admission state once we return.
+            # The worker is wedged (stall, livelock): it was abandoned
+            # and replaced, and holds no admission state once we return.
             stats.bump("timed_out")
             self.breaker.record(True, mode)
             log.warning(

@@ -106,8 +106,8 @@ def prepare_classifier(classifier: TKDCClassifier) -> TKDCClassifier:
     if not classifier.is_fitted:
         raise ValueError("model file contains an unfitted classifier")
     # flag: bad rows become UNCERTAIN instead of batch-level errors;
-    # n_jobs=1: request concurrency comes from handler threads (or the
-    # worker fleet), not a per-request process pool.
+    # n_jobs=1: request parallelism comes from the worker fleet, not a
+    # per-request process pool.
     classifier.config = classifier.config.with_updates(
         query_policy="flag", n_jobs=1
     )

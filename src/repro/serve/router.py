@@ -43,7 +43,7 @@ import tempfile
 import threading
 import time
 from dataclasses import asdict
-from http.client import HTTPConnection, HTTPException
+from http.client import HTTPException
 from http.server import ThreadingHTTPServer
 from pathlib import Path
 
@@ -52,8 +52,9 @@ from repro.obs.buildinfo import build_info
 from repro.obs.registry import render_prometheus
 from repro.serve.breaker import MODE_DEGRADED, CircuitBreaker
 from repro.serve.calibrate import calibrate_for_serving
+from repro.serve.client import ConnectionPool
 from repro.serve.config import ServeConfig
-from repro.serve.daemon import _Handler, install_signal_handlers
+from repro.serve.daemon import _Handler, install_signal_handlers, too_large
 from repro.serve.plane import (
     MANIFEST_BASENAME,
     file_sha256,
@@ -80,25 +81,12 @@ class ForwardTimeout(ForwardError):
     """A forward exceeded its socket deadline (worker wedged)."""
 
 
-def _tuned_connection(host: str, port: int, timeout: float) -> HTTPConnection:
-    """A connected HTTPConnection with Nagle disabled.
-
-    The router→worker hop doubles the number of small writes per
-    request; TCP_NODELAY keeps delayed-ACK/Nagle interaction from adding
-    tens of milliseconds on some stacks.
-    """
-    connection = HTTPConnection(host, port, timeout=timeout)
-    connection.connect()
-    connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return connection
-
-
 class WorkerHandle:
     """Router-side state for one worker process.
 
     Tracks in-flight load (the per-worker admission slots), health as
-    seen by the heartbeat loop, and a small pool of keep-alive
-    connections to the worker's ephemeral port.
+    seen by the heartbeat loop, and a :class:`ConnectionPool` of
+    keep-alive connections to the worker's ephemeral port.
     """
 
     def __init__(
@@ -115,7 +103,7 @@ class WorkerHandle:
         self.restarts = 0  # carried over by the fleet on respawn
         self._lock = threading.Lock()
         self._in_flight = 0
-        self._pool: list[HTTPConnection] = []
+        self.pool = ConnectionPool("127.0.0.1", port, capacity=capacity)
 
     # -- admission slots ---------------------------------------------------
 
@@ -137,34 +125,6 @@ class WorkerHandle:
     def load(self) -> float:
         with self._lock:
             return self._in_flight / max(self.capacity, 1)
-
-    # -- connection pool ---------------------------------------------------
-
-    def checkout(self, timeout: float) -> HTTPConnection:
-        with self._lock:
-            if self._pool:
-                connection = self._pool.pop()
-                connection.timeout = timeout
-                if connection.sock is not None:
-                    connection.sock.settimeout(timeout)
-                return connection
-        return _tuned_connection("127.0.0.1", self.port, timeout)
-
-    def checkin(self, connection: HTTPConnection) -> None:
-        with self._lock:
-            if len(self._pool) < self.capacity:
-                self._pool.append(connection)
-                return
-        connection.close()
-
-    def discard(self, connection: HTTPConnection) -> None:
-        connection.close()
-
-    def close_pool(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, []
-        for connection in pool:
-            connection.close()
 
 
 class WorkerFleet:
@@ -335,14 +295,14 @@ class WorkerFleet:
         except BaseException:
             self._terminate_process(process)
             raise
-        capacity = self.config.max_concurrency + self.config.queue_depth
+        capacity = 1 + self.config.queue_depth
         return WorkerHandle(index, process, port, capacity)
 
     def _spawn_initial_fleet(self) -> None:
         # Launch everyone first, then collect readiness: startup cost is
         # one worker's import+attach time, not N of them.
         processes = [self._launch(i) for i in range(self.config.workers)]
-        capacity = self.config.max_concurrency + self.config.queue_depth
+        capacity = 1 + self.config.queue_depth
         failure: BaseException | None = None
         for index, process in enumerate(processes):
             try:
@@ -373,7 +333,7 @@ class WorkerFleet:
             "worker %d (pid %d) %s; respawning", index, old.pid, reason
         )
         old.healthy = False
-        old.close_pool()
+        old.pool.close()
         self._terminate_process(old.process)
         try:
             replacement = self._spawn_worker(index)
@@ -450,7 +410,7 @@ class WorkerFleet:
             payload = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
         try:
-            connection = _tuned_connection("127.0.0.1", handle.port, timeout)
+            connection = handle.pool.connect(timeout)
         except OSError as exc:
             raise ForwardError(f"connect: {exc}") from exc
         try:
@@ -487,31 +447,23 @@ class WorkerFleet:
         self, handle: WorkerHandle, raw: bytes
     ) -> tuple[int, dict]:
         timeout = self.config.max_deadline + self.config.watchdog_grace + 5.0
-        connection = None
         try:
-            connection = handle.checkout(timeout)
-            connection.request(
-                "POST", "/classify", body=raw,
-                headers={"Content-Type": "application/json"},
+            status, data = handle.pool.request(
+                "POST", "/classify", raw,
+                {"Content-Type": "application/json"},
+                timeout=timeout, retry_safe=True,
             )
-            response = connection.getresponse()
-            data = response.read()
         except socket.timeout as exc:
-            if connection is not None:
-                handle.discard(connection)
             raise ForwardTimeout(f"worker {handle.index} timed out") from exc
         except (OSError, HTTPException) as exc:
-            if connection is not None:
-                handle.discard(connection)
             raise ForwardError(
                 f"worker {handle.index}: {type(exc).__name__}: {exc}"
             ) from exc
-        handle.checkin(connection)
         try:
             payload = json.loads(data.decode("utf-8")) if data else {}
         except (UnicodeDecodeError, json.JSONDecodeError):
             payload = {"raw": data.decode("utf-8", errors="replace")}
-        return response.status, payload
+        return status, payload
 
     def _note_transport_failure(self, handle: WorkerHandle) -> None:
         # Route around the worker immediately; the heartbeat loop decides
@@ -657,11 +609,7 @@ class WorkerFleet:
             return 503, {"error": "draining"}
         if len(raw) > self.config.max_request_bytes:
             stats.bump("ingest_rejected")
-            return 413, {
-                "error": "request_too_large",
-                "max_request_bytes": self.config.max_request_bytes,
-                "received_bytes": len(raw),
-            }
+            return 413, too_large(self.config.max_request_bytes, len(raw))
         try:
             body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -761,11 +709,7 @@ class WorkerFleet:
             }
         if len(raw) > self.config.max_request_bytes:
             stats.bump("rejected")
-            return 413, {
-                "error": "request_too_large",
-                "max_request_bytes": self.config.max_request_bytes,
-                "received_bytes": len(raw),
-            }, {}
+            return 413, too_large(self.config.max_request_bytes, len(raw)), {}
         mode = self.breaker.admit()
         if mode == MODE_DEGRADED:
             # Fleet transport is sick: shed fast instead of queueing
@@ -1175,7 +1119,7 @@ class WorkerFleet:
         with self._handles_lock:
             handles, self._handles = self._handles, []
         for handle in handles:
-            handle.close_pool()
+            handle.pool.close()
             if handle.process.poll() is None:
                 try:
                     handle.process.send_signal(signal.SIGTERM)
@@ -1231,11 +1175,7 @@ class FleetServer(ThreadingHTTPServer):
     def reject_oversized(self, length: int) -> tuple[int, dict]:
         self.stats.bump("submitted")
         self.stats.bump("rejected")
-        return 413, {
-            "error": "request_too_large",
-            "max_request_bytes": self.serve_config.max_request_bytes,
-            "received_bytes": length,
-        }
+        return 413, too_large(self.serve_config.max_request_bytes, length)
 
     def handle_classify(
         self, raw: bytes, received_at: float
@@ -1245,11 +1185,7 @@ class FleetServer(ThreadingHTTPServer):
     def reject_oversized_ingest(self, length: int) -> tuple[int, dict]:
         self.stats.bump("ingest_submitted")
         self.stats.bump("ingest_rejected")
-        return 413, {
-            "error": "request_too_large",
-            "max_request_bytes": self.serve_config.max_request_bytes,
-            "received_bytes": length,
-        }
+        return 413, too_large(self.serve_config.max_request_bytes, length)
 
     def handle_ingest(self, raw: bytes) -> tuple[int, dict]:
         return self.fleet.handle_ingest(raw)

@@ -42,8 +42,7 @@ def model_path(fitted: TKDCClassifier, tmp_path_factory) -> Path:
 #: windows, sub-second cooldowns. Individual tests override per-knob.
 TEST_DEFAULTS = dict(
     port=0,
-    max_concurrency=2,
-    queue_depth=2,
+    queue_depth=3,
     default_deadline=2.0,
     max_deadline=30.0,
     watchdog_grace=1.0,
@@ -63,7 +62,7 @@ TEST_DEFAULTS = dict(
 @pytest.fixture
 def server_factory(model_path: Path):
     """Start configured daemon instances; everything stops at teardown."""
-    started: list[tuple[TKDCServer, threading.Thread]] = []
+    started: list[tuple[TKDCServer, threading.Thread, ServeClient]] = []
 
     def factory(**overrides) -> tuple[TKDCServer, ServeClient]:
         settings = dict(TEST_DEFAULTS)
@@ -76,13 +75,14 @@ def server_factory(model_path: Path):
             daemon=True,
         )
         thread.start()
-        started.append((server, thread))
         client = ServeClient("127.0.0.1", server.port, timeout=30.0)
+        started.append((server, thread, client))
         assert client.wait_ready(10.0), "server never became ready"
         return server, client
 
     yield factory
-    for server, thread in started:
+    for server, thread, client in started:
+        client.close()
         server.shutdown()
         server.server_close()
         thread.join(timeout=5.0)

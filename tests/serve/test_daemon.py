@@ -69,7 +69,10 @@ class TestClassify:
         assert payload["budget"] >= 32
 
     def test_tiny_deadline_gets_floor_budget_not_an_error(self, server_factory):
-        server, client = server_factory(min_budget=32)
+        # A tiny budget_safety keeps what 1 ms affords below the floor at
+        # any calibrated rate (at ~7e4 expansions/s and the default 0.5,
+        # a request that starts early enough in its 1 ms affords 33).
+        server, client = server_factory(min_budget=32, budget_safety=0.01)
         status, payload = client.classify([[0.0, 0.0]], deadline_ms=1)
         # Either the floor-budget answer made it, or the 1ms deadline
         # expired before/while queued — every path is structured, none hang.
@@ -138,7 +141,7 @@ class TestClassify:
 
 class TestAdmission:
     def test_overload_sheds_with_429(self, server_factory):
-        server, client = server_factory(max_concurrency=1, queue_depth=0)
+        server, client = server_factory(queue_depth=0)
         stall = threading.Event()
         entered = threading.Event()
 
@@ -175,7 +178,7 @@ class TestAdmission:
 
     def test_watchdog_converts_wedged_handler_to_503(self, server_factory):
         server, client = server_factory(
-            max_concurrency=1, queue_depth=0, watchdog_grace=0.3
+            queue_depth=0, watchdog_grace=0.3
         )
         release = threading.Event()
         server.manager.classify_hook = lambda points: release.wait(30.0)
@@ -219,6 +222,43 @@ class TestAdmission:
         assert statz["submitted"] == 3
         assert terminal_total(statz) == statz["submitted"]
         assert statz["in_flight"] == 0
+
+
+class TestStandingWorker:
+    def test_replacement_worker_serves_while_wedged_one_stalls(
+        self, server_factory
+    ):
+        server, client = server_factory(queue_depth=0, watchdog_grace=0.3)
+        release = threading.Event()
+        stalled = threading.Event()
+
+        def hook(points) -> None:
+            if points[0, 0] == 99.0:
+                stalled.set()
+                release.wait(30.0)
+
+        server.manager.classify_hook = hook
+        try:
+            status, payload = client.classify([[99.0, 0.0]], deadline_ms=200)
+            assert status == 503
+            assert payload["error"] == "watchdog_timeout"
+            assert stalled.is_set()
+            status, payload = client.classify([[-2.0, 0.0]], deadline_ms=5_000)
+            # The abandoned worker is still inside its classify.
+            assert not release.is_set()
+        finally:
+            release.set()
+            server.manager.classify_hook = None
+        assert status == 200
+        assert payload["labels"] == [1]
+
+    def test_thread_count_flat_across_classifies(self, server_factory):
+        __, client = server_factory()
+        assert client.classify([[0.0, 0.0]], deadline_ms=5_000)[0] == 200
+        before = threading.active_count()
+        for __ in range(100):
+            assert client.classify([[0.0, 0.0]], deadline_ms=5_000)[0] == 200
+        assert threading.active_count() <= before
 
 
 class TestDrain:

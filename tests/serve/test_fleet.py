@@ -27,8 +27,7 @@ from repro.serve.stats import TERMINAL_OUTCOMES
 FLEET_DEFAULTS = dict(
     port=0,
     workers=2,
-    max_concurrency=2,
-    queue_depth=2,
+    queue_depth=3,
     default_deadline=2.0,
     max_deadline=30.0,
     watchdog_grace=1.0,
@@ -81,7 +80,9 @@ def _wait_workers_healthy(
 @pytest.fixture
 def fleet_factory(model_path):
     """Start fleets on ephemeral ports; everything stops at teardown."""
-    started: list[tuple[WorkerFleet, FleetServer, threading.Thread]] = []
+    started: list[
+        tuple[WorkerFleet, FleetServer, threading.Thread, ServeClient]
+    ] = []
 
     def factory(**overrides) -> tuple[WorkerFleet, ServeClient]:
         settings = dict(FLEET_DEFAULTS)
@@ -98,13 +99,14 @@ def fleet_factory(model_path):
             daemon=True,
         )
         thread.start()
-        started.append((fleet, server, thread))
         client = ServeClient("127.0.0.1", server.port, timeout=30.0)
+        started.append((fleet, server, thread, client))
         assert client.wait_ready(30.0), "fleet never became ready"
         return fleet, client
 
     yield factory
-    for fleet, server, thread in started:
+    for fleet, server, thread, client in started:
+        client.close()
         server.shutdown()
         server.server_close()
         fleet.stop()
@@ -131,15 +133,18 @@ class _Driver:
 
     def _run(self) -> None:
         client = ServeClient(self._client.host, self._client.port, timeout=30.0)
-        while not self._stop.is_set():
-            try:
-                status, __ = client.classify([[-2.0, 0.0]], deadline_ms=5000)
-            except OSError as exc:
+        try:
+            while not self._stop.is_set():
+                try:
+                    status, __ = client.classify([[-2.0, 0.0]], deadline_ms=5000)
+                except OSError as exc:
+                    with self._lock:
+                        self.drops.append(repr(exc))
+                    continue
                 with self._lock:
-                    self.drops.append(repr(exc))
-                continue
-            with self._lock:
-                self.statuses.append(status)
+                    self.statuses.append(status)
+        finally:
+            client.close()
 
     def __enter__(self) -> "_Driver":
         for thread in self._threads:
@@ -301,6 +306,8 @@ class TestFleetDrain:
             assert status == 503
             assert body["error"] == "draining"
             assert fleet.stats.snapshot()["drained"] >= 1
+        finally:
+            probe.close()
         _assert_accounting_balanced(fleet.stats.snapshot())
 
     def test_stop_unlinks_all_segments(self, fleet_factory):

@@ -47,7 +47,9 @@ def _ingest_invariant(snapshot: dict) -> tuple[int, int]:
 @pytest.fixture
 def streaming_fleet_factory(model_path, tmp_path):
     """Start streaming fleets; everything (and the WAL lock) torn down."""
-    started: list[tuple[WorkerFleet, FleetServer, threading.Thread]] = []
+    started: list[
+        tuple[WorkerFleet, FleetServer, threading.Thread, ServeClient]
+    ] = []
 
     def factory(wal_dir=None, streaming=True, **overrides):
         settings = dict(FLEET_DEFAULTS)
@@ -69,13 +71,14 @@ def streaming_fleet_factory(model_path, tmp_path):
             daemon=True,
         )
         thread.start()
-        started.append((fleet, server, thread))
         client = ServeClient("127.0.0.1", server.port, timeout=90.0)
+        started.append((fleet, server, thread, client))
         assert client.wait_ready(30.0), "fleet never became ready"
         return fleet, client
 
     yield factory
-    for fleet, server, thread in started:
+    for fleet, server, thread, client in started:
+        client.close()
         server.shutdown()
         server.server_close()
         fleet.stop()

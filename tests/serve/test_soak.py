@@ -37,8 +37,7 @@ class TestSoak:
         self, server_factory, model_path, tmp_path
     ):
         server, client = server_factory(
-            max_concurrency=2,
-            queue_depth=2,
+            queue_depth=3,
             watchdog_grace=0.4,
             max_rows=64,
             max_request_bytes=8192,
