@@ -6,11 +6,13 @@ numpy calls per heap pop. This module runs the *same* traversal for a
 whole block of queries simultaneously: per round, every still-active
 query pops the loosest entry of its own frontier (the paper's
 discrepancy order), all popped nodes are expanded with a handful of
-vectorized sweeps over the :class:`~repro.index.flat.FlatTree` arrays,
-and the threshold/tolerance pruning rules retire finished queries as
-boolean masks. The per-query semantics — pop order, rule order, the
-``±eps*t`` guarantee, and every :class:`~repro.core.stats.TraversalStats`
-counter — are preserved exactly; only the arithmetic is batched.
+vectorized sweeps over the :class:`~repro.index.flat.FlatTree` arrays
+(the exact sums of every popped leaf in one gathered sweep, whatever
+the number of distinct leaves), and the threshold/tolerance pruning
+rules retire finished queries as boolean masks. The per-query
+semantics — pop order, rule order, the ``±eps*t`` guarantee, and every
+:class:`~repro.core.stats.TraversalStats` counter — are preserved
+exactly; only the arithmetic is batched.
 
 Per-query state is packed to the live queries, all retirements are
 decided in one pass, and both children of every expanded node are
@@ -45,6 +47,12 @@ from repro.robustness.guards import (
 #: while keeping the vectorized sweeps wide enough to amortize the fixed
 #: per-round dispatch cost, which falls per query as the block widens.
 DEFAULT_BLOCK_SIZE = 2048
+
+#: Evaluations :func:`_leaf_exact_sums` gathers per chunk (plus at most one
+#: leaf), so a gathered ``(evaluations, d)`` array holds at most ~3.5 MB at
+#: d = 27. At d = 2 no round of the offline-2d benchmark's fit or classify
+#: gathered more than ~4,500, so there a round is one chunk.
+_MAX_LEAF_EVALS = 16_384
 
 #: Outcome codes stored per query (0 means the tree was exhausted).
 OUTCOME_NONE = 0
@@ -396,8 +404,8 @@ def _bound_block(
         left = flat.left[node_sel]
         is_leaf = left < 0
 
-        # --- leaves: exact vectorized kernel sums, grouped by node so
-        # queries that reached the same leaf share one distance matrix.
+        # --- leaves: exact kernel sums for every (query, leaf) pair in one
+        # gathered sweep over all their leaf points.
         leaf_pos = is_leaf.nonzero()[0]
         if leaf_pos.size:
             leaf_nodes = node_sel[leaf_pos]
@@ -470,20 +478,51 @@ def _leaf_exact_sums(
     leaf_queries: np.ndarray,
     inv_n: float,
 ) -> np.ndarray:
-    """Exact leaf contributions for (query, leaf) pairs, grouped by leaf."""
-    sums = np.empty(leaf_nodes.size)
-    order = np.argsort(leaf_nodes, kind="stable")
-    boundaries = np.flatnonzero(np.diff(leaf_nodes[order])) + 1
-    for group in np.split(order, boundaries):
-        node_id = leaf_nodes[group[0]]
-        points = flat.points[flat.start[node_id] : flat.end[node_id]]
-        diffs = leaf_queries[group][:, None, :] - points[None, :, :]
-        sq_dists = np.einsum("kmd,kmd->km", diffs, diffs)
-        values = kernel.value(sq_dists)
+    """Exact leaf contributions for (query, leaf) pairs, every leaf at once.
+
+    Every (pair, leaf point) evaluation is gathered into flat arrays and
+    swept once: squared distance, kernel value, point weight. Pairs are
+    ordered by leaf size (skipped when all sizes agree) and each run of
+    ``k`` pairs on ``m``-point leaves reduces as one ``(k, m)`` row sum,
+    the same per-row pairwise reduction as a per-leaf distance matrix, so
+    the sums are bit-identical to it. Gathers go in chunks of about
+    :data:`_MAX_LEAF_EVALS` evaluations, each ending on a whole pair.
+    """
+    counts = flat.count.take(leaf_nodes)
+    one_size = counts.min() == counts.max()
+    if not one_size:
+        order = counts.argsort(kind="stable")
+        leaf_nodes, counts = leaf_nodes.take(order), counts.take(order)
+        leaf_queries = leaf_queries.take(order, axis=0)
+    firsts = counts.cumsum() - counts  # each pair's first evaluation
+    # Point index of evaluation e of a pair is start + (e - first).
+    shifts = flat.start.take(leaf_nodes) - firsts
+    cuts = [0, counts.size]
+    if firsts[-1] >= _MAX_LEAF_EVALS:
+        block = firsts // _MAX_LEAF_EVALS
+        cuts[1:1] = ((block[1:] != block[:-1]).nonzero()[0] + 1).tolist()
+    sums = np.empty(counts.size)
+    for lo, hi in zip(cuts, cuts[1:]):
+        chunk = counts[lo:hi]
+        points = np.repeat(shifts[lo:hi], chunk)
+        points += np.arange(firsts[lo], firsts[lo] + points.size)
+        diffs = np.repeat(leaf_queries[lo:hi], chunk, axis=0)
+        diffs -= flat.points.take(points, axis=0)
+        values = kernel.value(np.einsum("td,td->t", diffs, diffs))
         if flat.point_weights is not None:
-            values = values * flat.point_weights[flat.start[node_id] : flat.end[node_id]]
-        sums[group] = np.sum(values, axis=1) * inv_n
-    return sums
+            values *= flat.point_weights.take(points)
+        runs = [] if one_size else ((chunk[1:] != chunk[:-1]).nonzero()[0] + 1).tolist()
+        at = 0
+        for a, b in zip([0, *runs], [*runs, chunk.size]):
+            m = int(chunk[a])
+            sums[lo + a : lo + b] = values[at : at + (b - a) * m].reshape(b - a, m).sum(axis=1)
+            at += (b - a) * m
+    sums *= inv_n
+    if one_size:
+        return sums
+    unsorted = np.empty_like(sums)
+    unsorted[order] = sums
+    return unsorted
 
 
 def _exact_full_sums(

@@ -166,14 +166,6 @@ class KDTree:
         """Original input indices of the points owned by ``node``."""
         return self.indices[node.start : node.end]
 
-    def node_indices(self, node: Node) -> np.ndarray:
-        """Original input indices of every point under ``node``.
-
-        Works for internal nodes as well as leaves (each node owns a
-        contiguous slice of the permuted point array).
-        """
-        return self.indices[node.start : node.end]
-
     def node_bounds(self, node: Node, query, kernel, inv_n: float) -> tuple[float, float]:
         """(lower, upper) density contribution of ``node`` at ``query``.
 

@@ -182,11 +182,6 @@ class DriftPlan:
                 f"refit generations {sorted(overlap)} are in both crash and raise lists"
             )
 
-    @property
-    def targets_refits(self) -> bool:
-        """Whether any refit-level fault can ever fire."""
-        return bool(self.refit_crash or self.refit_raise or self.corrupt_artifacts)
-
     def refit_fault(self, generation: int, attempt: int) -> str | None:
         """The fault (if any) a refit attempt must enact.
 

@@ -57,6 +57,13 @@ from repro.serve.stats import ServerStats
 
 log = logging.getLogger("repro.serve")
 
+#: Seconds a connection's handler thread waits on a socket read or write
+#: (between keep-alive requests, or inside one) before it closes the
+#: connection and exits, so an abandoned keep-alive client cannot pin a
+#: thread. A pooled client's next safe request is retried once on a fresh
+#: connection (:class:`repro.serve.client.ConnectionPool`).
+IDLE_TIMEOUT_S = 60.0
+
 
 def too_large(max_request_bytes: int, received_bytes: int) -> dict:
     """The 413 payload for a body over ``max_request_bytes``."""
@@ -174,6 +181,11 @@ class _Handler(BaseHTTPRequestHandler):
     # classify time, not TCP timer time. Matters doubly for the fleet
     # router's extra loopback hop (repro.serve.router).
     disable_nagle_algorithm = True
+
+    @property
+    def timeout(self) -> float:
+        """Socket timeout ``StreamRequestHandler.setup`` applies: the idle limit."""
+        return IDLE_TIMEOUT_S
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         log.debug("%s %s", self.address_string(), format % args)

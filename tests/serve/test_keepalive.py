@@ -235,3 +235,57 @@ def test_client_threads_share_the_pool(server_factory):
     assert not any(thread.is_alive() for thread in threads)
     assert statuses == [200] * 40
     assert 1 <= len(accepted) <= 4
+
+
+class TestIdleTimeout:
+    """The daemon closes a keep-alive connection left idle past
+    ``IDLE_TIMEOUT_S`` and its handler thread exits."""
+
+    @staticmethod
+    def track_handler_threads(server) -> list[threading.Thread]:
+        threads: list[threading.Thread] = []
+        original = server.process_request_thread
+
+        def process_request_thread(request, client_address):
+            threads.append(threading.current_thread())
+            original(request, client_address)
+
+        server.process_request_thread = process_request_thread
+        return threads
+
+    @staticmethod
+    def wait_for_server_close(client: ServeClient) -> None:
+        idle = [connection.sock for connection in client.pool._idle]
+        assert len(idle) == 1
+        readable, __, __ = select.select(idle, [], [], 10.0)
+        assert readable, "the idle connection was never closed"
+        assert idle[0].recv(1, socket.MSG_PEEK) == b""  # EOF, not data
+
+    def test_idle_connection_closed_then_retried(self, server_factory, monkeypatch):
+        from repro.serve import daemon
+
+        monkeypatch.setattr(daemon, "IDLE_TIMEOUT_S", 0.3)
+        server, __ = server_factory()
+        accepted = track_accepts(server)
+        threads = self.track_handler_threads(server)
+        client = ServeClient("127.0.0.1", server.port)
+        try:
+            assert client.healthz()[0] == 200
+            self.wait_for_server_close(client)
+            threads[0].join(timeout=10.0)
+            assert not threads[0].is_alive()
+
+            status, payload = client.classify([[-2.0, 0.0]], deadline_ms=5_000)
+            assert status == 200 and payload["labels"] == [1]
+            assert len(accepted) == 2  # the once-only retry's fresh connection
+
+            # An unkeyed ingest is not safe to repeat: it raises instead.
+            self.wait_for_server_close(client)
+            with pytest.raises(ConnectionError):
+                client.ingest([[0.0, 0.0]])
+            assert client.statz()[1]["ingest_submitted"] == 0
+        finally:
+            client.close()
+        for thread in threads[:2]:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
