@@ -220,6 +220,16 @@ class TKDCClassifier:
                 scaled, leaf_size=config.leaf_size, split_rule=config.split_rule
             )
 
+        # The grid cache stays built over the FULL training set even
+        # under compression: it lower-bounds the full-data density f_X
+        # directly, so its HIGH shortcut remains a certified statement
+        # regardless of how coarse the sketch's certificate is. The
+        # bootstrap's final round shares it only when its tree indexes
+        # the same points (no coreset).
+        self._grid = None
+        if config.use_grid and data.shape[1] <= config.grid_max_dim:
+            self._grid = GridCache(scaled, self._kernel)
+
         bootstrap = bootstrap_threshold_bounds(
             data,
             make_kernel=self._make_kernel,
@@ -229,16 +239,9 @@ class TKDCClassifier:
             full_tree=self._tree,
             full_kernel=self._kernel,
             eta=self.eta,
+            full_grid=self._grid if self.coreset_ is None else None,
         )
         t_lower, t_upper = bootstrap.lower, bootstrap.upper
-
-        # The grid cache stays built over the FULL training set even
-        # under compression: it lower-bounds the full-data density f_X
-        # directly, so its HIGH shortcut remains a certified statement
-        # regardless of how coarse the sketch's certificate is.
-        self._grid = None
-        if config.use_grid and data.shape[1] <= config.grid_max_dim:
-            self._grid = GridCache(scaled, self._kernel)
 
         if config.refine_threshold:
             scores = self._score_training_points(scaled, t_lower, t_upper)

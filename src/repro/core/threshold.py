@@ -11,6 +11,28 @@ backed off and the iteration retried.
 The returned bounds bracket the full-data threshold ``t(p)`` with
 probability at least ``1 - delta`` (per iteration, via the order-statistic
 confidence intervals of Section 3.5).
+
+Each round takes the grid shortcut the scoring pass takes (Section 3.7):
+a sampled row whose grid lower bound, less its self-contribution
+``K(0)/r``, already exceeds ``t_upper (1 + epsilon)`` records that value
+and skips the traversal. The round's bracket is bit-identical to scoring
+every row by traversal:
+
+- such a row's traversal value also exceeds ``t_upper``: the traversal
+  stops on the threshold rule (lower bound above ``t_upper (1 + eps)``),
+  on the tolerance rule (midpoint within ``eps t_lower / 2`` of a
+  density above ``t_upper (1 + eps)``) or exactly;
+- so the multiset of values at or below ``t_upper`` is unchanged, and
+  with it every order statistic the round reads and its backoff
+  decision (a statistic above ``t_upper`` only triggers a backoff, which
+  reads ``t_upper``, not the statistic; ``t_upper > 0`` is required so
+  the zero-bound restart never reads one);
+- each row's traversal is independent of the other rows in its block.
+
+The shortcut needs the grid to count the round's own sample under the
+round's kernel: every mini-KDE round builds one over its sample, and the
+final round uses the caller's full-data grid, which a coreset final
+round (whose tree indexes the sketch) does not get.
 """
 
 from __future__ import annotations
@@ -25,6 +47,7 @@ import numpy as np
 from repro.core.batch_bounds import bound_densities
 from repro.core.bounds import bound_density
 from repro.core.config import TKDCConfig
+from repro.core.grid import GridCache
 from repro.core.stats import TraversalStats
 from repro.index.kdtree import KDTree
 from repro.kernels.base import Kernel
@@ -84,6 +107,7 @@ def bootstrap_threshold_bounds(
     full_tree: KDTree | None = None,
     full_kernel: Kernel | None = None,
     eta: float = 0.0,
+    full_grid: GridCache | None = None,
 ) -> ThresholdBootstrapResult:
     """Estimate probabilistic bounds on ``t(p)`` (paper Algorithm 3).
 
@@ -118,9 +142,15 @@ def bootstrap_threshold_bounds(
         bracket valid for the full-data ``t(p)``. A coarser or infinite
         ``eta`` degrades to best-effort: no widening anywhere, and the
         bounds describe the compressed estimate's quantile only.
+    full_grid:
+        Grid cache over the full data under ``full_kernel``, for the
+        final round's grid shortcut. Pass it only when ``full_tree``
+        indexes the full data (not a coreset); ``None`` disables the
+        shortcut in the final round.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     n = data.shape[0]
+    use_grid = config.use_grid and data.shape[1] <= config.grid_max_dim
 
     t_lower = 0.0
     t_upper = math.inf
@@ -129,18 +159,22 @@ def bootstrap_threshold_bounds(
 
     for iteration in range(1, _MAX_ITERATIONS + 1):
         final_round = r == n and full_tree is not None and full_kernel is not None
+        shortcut = use_grid and math.isfinite(t_upper) and t_upper > 0.0
         if final_round:
             subsample = data
             kernel = full_kernel
             tree = full_tree
+            grid = full_grid if shortcut else None
         else:
             subsample = data[rng.choice(n, size=r, replace=False)] if r < n else data
             kernel = make_kernel(subsample)
+            scaled_sample = kernel.scale(subsample)
             tree = KDTree(
-                kernel.scale(subsample),
+                scaled_sample,
                 leaf_size=config.leaf_size,
                 split_rule=config.split_rule,
             )
+            grid = GridCache(scaled_sample, kernel) if shortcut else None
 
         s = min(config.bootstrap_s0, r)
         queries = subsample[rng.choice(r, size=s, replace=False)] if s < r else subsample
@@ -167,9 +201,17 @@ def bootstrap_threshold_bounds(
             else 0.0
         )
         self_contribution = kernel.max_value / r
+        densities = np.empty(s)
+        remaining = np.arange(s)
+        if grid is not None:
+            grid_scores = grid.density_lower_bounds(scaled_queries) - self_contribution
+            certain = grid_scores > t_upper * (1.0 + config.epsilon)
+            stats.grid_hits += int(np.count_nonzero(certain))
+            densities[certain] = grid_scores[certain]
+            remaining = np.flatnonzero(~certain)
         if config.engine == "batch":
             result = bound_densities(
-                tree.flatten(), kernel, scaled_queries, t_lower, t_upper,
+                tree.flatten(), kernel, scaled_queries[remaining], t_lower, t_upper,
                 config.epsilon, stats,
                 use_threshold_rule=config.use_threshold_rule,
                 use_tolerance_rule=config.use_tolerance_rule,
@@ -178,10 +220,9 @@ def bootstrap_threshold_bounds(
                 block_size=config.batch_block_size,
                 guard_policy=config.guard_policy,
             )
-            densities = np.maximum(result.midpoint - self_contribution, 0.0)
+            densities[remaining] = np.maximum(result.midpoint - self_contribution, 0.0)
         else:
-            densities = np.empty(s)
-            for i in range(s):
+            for i in remaining:
                 result = bound_density(
                     tree, kernel, scaled_queries[i], t_lower, t_upper,
                     config.epsilon, stats,

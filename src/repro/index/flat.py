@@ -1,13 +1,13 @@
 """Flat structure-of-arrays view of a k-d tree (batch-traversal substrate).
 
-The pointer-based :class:`~repro.index.kdtree.KDTree` is convenient to
-build and debug, but walking ``Node`` dataclasses one attribute access
-at a time is exactly the interpreter overhead the batched traversal
-engine (:mod:`repro.core.batch_bounds`) is built to avoid. A
-:class:`FlatTree` stores every per-node quantity the traversal needs in
-contiguous numpy arrays indexed by node id, so bounding a whole block of
-(query, node) pairs is a handful of vectorized sweeps instead of a
-Python loop.
+Walking ``Node`` dataclasses one attribute access at a time is exactly
+the interpreter overhead the batched traversal engine
+(:mod:`repro.core.batch_bounds`) is built to avoid. A :class:`FlatTree`
+stores every per-node quantity the traversal needs in contiguous numpy
+arrays indexed by node id, so bounding a whole block of (query, node)
+pairs is a handful of vectorized sweeps instead of a Python loop.
+:class:`~repro.index.kdtree.KDTree` builds these arrays directly, level
+by level; its ``Node`` objects are linked from them on demand.
 
 Node ids are assigned in depth-first pre-order: the root is node 0 and
 every internal node's children have larger ids. Leaves are marked by a
@@ -83,47 +83,12 @@ class FlatTree:
 
 
 def flatten_kdtree(tree) -> FlatTree:
-    """Flatten a :class:`~repro.index.kdtree.KDTree` into a :class:`FlatTree`.
+    """The :class:`FlatTree` of a :class:`~repro.index.kdtree.KDTree`.
 
-    One pass assigns pre-order ids, a second fills the arrays. The
-    point array is shared with the source tree (it is never mutated
-    after construction).
+    The tree builds its arrays at construction; this returns them (the
+    point array is shared with the tree, never copied).
     """
-    nodes = list(tree.iter_nodes())
-    ids = {id(node): i for i, node in enumerate(nodes)}
-    m = len(nodes)
-    d = tree.dim
-
-    lo = np.empty((m, d), dtype=np.float64)
-    hi = np.empty((m, d), dtype=np.float64)
-    count = np.empty(m, dtype=np.int64)
-    start = np.empty(m, dtype=np.int64)
-    end = np.empty(m, dtype=np.int64)
-    left = np.full(m, NO_CHILD, dtype=np.int64)
-    right = np.full(m, NO_CHILD, dtype=np.int64)
-
-    for i, node in enumerate(nodes):
-        lo[i] = node.lo
-        hi[i] = node.hi
-        count[i] = node.count
-        start[i] = node.start
-        end[i] = node.end
-        if not node.is_leaf:
-            left[i] = ids[id(node.left)]
-            right[i] = ids[id(node.right)]
-
-    point_weights = getattr(tree, "point_weights", None)
-    if point_weights is None:
-        node_weight = count.astype(np.float64)
-    else:
-        prefix = np.concatenate(([0.0], np.cumsum(point_weights)))
-        node_weight = prefix[end] - prefix[start]
-
-    return FlatTree(
-        points=tree.points, lo=lo, hi=hi, count=count,
-        start=start, end=end, left=left, right=right,
-        node_weight=node_weight, point_weights=point_weights,
-    )
+    return tree.flatten()
 
 
 def pair_box_bounds(

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import repro
 from repro.core.classifier import TKDCClassifier
+from repro.index.kdtree import StaleTreeLayout
 from repro.io.atomic import atomic_write_bytes
 from repro.obs.buildinfo import build_info
 
@@ -131,12 +132,17 @@ def load_model(path: Path | str) -> TKDCClassifier:
     :class:`ModelIntegrityError` rather than a raw ``UnpicklingError``
     (or worse, a silently wrong object). Raises ``ValueError`` for
     foreign files and version mismatches, ``FileNotFoundError`` when
-    neither the exact path nor its ``.tkdc`` fallback exists.
+    neither the exact path nor its ``.tkdc`` fallback exists, and
+    :class:`~repro.index.kdtree.StaleTreeLayout` (a ``ValueError``) for
+    a model whose tree was pickled with linked ``Node`` objects.
     """
     path = resolve_model_path(path)
     blob = _verified_payload(path, path.read_bytes())
     try:
         payload = pickle.loads(blob)
+    except StaleTreeLayout as exc:
+        # An intact file from before trees were built as flat arrays.
+        raise StaleTreeLayout(f"{path}: {exc}") from exc
     except Exception as exc:
         # Legacy (footer-less) truncation lands here: the stream is not
         # a complete pickle. Typed, so callers can distinguish "corrupt

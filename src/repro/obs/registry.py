@@ -41,6 +41,8 @@ import threading
 import time
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -229,12 +231,14 @@ class Histogram(Instrument):
         if not buckets or list(buckets) != sorted(buckets):
             raise ValueError(f"buckets must be a sorted non-empty sequence: {buckets}")
         self.buckets = tuple(float(b) for b in buckets)
+        self._edges = np.array(self.buckets)
         super().__init__(registry, name, help, label_names)
         if not label_names:
             self._init_value()
 
     def _prepare_child(self, child: "Instrument") -> None:
         child.buckets = self.buckets  # type: ignore[attr-defined]
+        child._edges = self._edges  # type: ignore[attr-defined]
 
     def _init_value(self) -> None:
         self._counts = [0] * (len(self.buckets) + 1)  # +1 for +Inf
@@ -263,15 +267,24 @@ class Histogram(Instrument):
         """Record a batch of observations under one lock acquisition."""
         if not self._registry.enabled:
             return
-        values = [float(v) for v in values]
-        if not values:
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        if values.size == 0:
             return
-        indices = [self._bucket_index(v) for v in values]
+        # First edge >= v, as the scalar scan finds it; NaN sorts past
+        # every edge, into +Inf, where the scan also puts it.
+        hits = np.bincount(
+            np.searchsorted(self._edges, values, side="left"),
+            minlength=len(self.buckets) + 1,
+        ).tolist()
+        # Python's sequential ``sum`` of the floats; numpy's pairwise
+        # ``np.sum`` would round differently.
+        total = sum(values.tolist())
         with self._lock:
-            for index in indices:
-                self._counts[index] += 1
-            self._sum += sum(values)
-            self._count += len(values)
+            self._counts = [count + hit for count, hit in zip(self._counts, hits)]
+            self._sum += total
+            self._count += values.size
 
     def time(self) -> "_HistogramTimer":
         """Context manager observing the elapsed time of its block."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.obs.registry import (
@@ -89,6 +90,29 @@ class TestHistogram:
         for v in values:
             b.observe(v)
         assert a.snapshot()["cumulative_counts"] == b.snapshot()["cumulative_counts"]
+
+    def test_observe_many_edges_nan_and_inf_match_singles(self):
+        registry = MetricsRegistry()
+        buckets = (0.5, 1.0, 4.0)
+        a = registry.histogram("a", buckets=buckets)
+        b = registry.histogram("b", buckets=buckets)
+        values = [0.5, 1.0, 4.0, np.nextafter(4.0, 5.0), -np.inf, np.inf, np.nan, 0.0, -3.0]
+        a.observe_many(np.array(values))
+        for v in values:
+            b.observe(v)
+        assert a.snapshot()["cumulative_counts"] == b.snapshot()["cumulative_counts"]
+        # Edges are inclusive; NaN and +Inf land in the +Inf bucket only.
+        assert a.snapshot()["cumulative_counts"] == [4, 5, 6, 9]
+        assert a.count == b.count == len(values)
+
+    def test_observe_many_sum_is_pythons_sum(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("h", buckets=(1.0,))
+        values = np.random.default_rng(0).lognormal(size=1000)
+        hist.observe_many(values)
+        hist.observe_many(v for v in values[:10])  # any iterable
+        assert hist.sum == sum(values.tolist()) + sum(values[:10].tolist())
+        assert hist.count == 1010
 
     def test_time_uses_injectable_clock(self):
         ticks = iter([10.0, 13.5])

@@ -1,5 +1,7 @@
 """Unit tests for the hypergrid inlier cache."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ class TestConstruction:
             GridCache(small_gauss, unit_kernel_2d, cell_width=0.0)
 
     def test_cell_count_totals(self, grid, small_gauss):
-        total = sum(grid._counts.values())
+        total = int(grid._counts.sum())
         assert total == small_gauss.shape[0]
 
     def test_n_cells_positive(self, grid):
@@ -86,3 +88,39 @@ class TestCellWidth:
     def test_cell_width_property(self, small_gauss, unit_kernel_2d):
         grid = GridCache(small_gauss, unit_kernel_2d, cell_width=2.0)
         assert grid.cell_width == 2.0
+
+
+class TestCounterOracle:
+    """Array-backed counts equal a ``Counter`` of integer cell tuples."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("outlier", [0.0, 1e6, 1e17])
+    def test_counts_match_counter(self, dim, outlier):
+        rng = np.random.default_rng(dim)
+        points = rng.normal(size=(2000, dim)) * 3 - 2  # many negative cells
+        if outlier:
+            points[:2] = outlier * rng.choice([-1.0, 1.0], size=(2, dim))
+        grid = GridCache(points, GaussianKernel(np.ones(dim)))
+        counter = Counter(map(tuple, np.floor(points).astype(np.int64).tolist()))
+        queries = np.concatenate([
+            points[:300],
+            rng.normal(size=(300, dim)) * 8,
+            outlier * rng.normal(size=(4, dim)),
+            np.floor(points[:50]) + 0.999,  # far edge of occupied cells
+        ])
+        expected = [counter.get(cell, 0) for cell in map(tuple, np.floor(queries).astype(np.int64).tolist())]
+        assert grid.n_cells == len(counter)
+        assert [grid.cell_count(q) for q in queries] == expected
+        np.testing.assert_array_equal(
+            grid.density_lower_bounds(queries),
+            np.array(expected) / points.shape[0] * grid._min_kernel_value,
+        )
+
+    def test_batch_matches_scalar_path(self, grid, rng):
+        queries = rng.normal(size=(64, 2)) * 3
+        batch = grid.density_lower_bounds(queries)
+        assert batch.tolist() == [grid.density_lower_bound(q) for q in queries]
+
+    def test_non_finite_queries_are_empty(self, grid):
+        queries = np.array([[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]])
+        np.testing.assert_array_equal(grid.density_lower_bounds(queries), 0.0)

@@ -9,6 +9,7 @@ import repro
 import repro.io.models as models_module
 from repro import TKDCClassifier, TKDCConfig
 from repro.cli import main
+from repro.index.kdtree import KDTree, StaleTreeLayout
 from repro.io.models import (
     ModelIntegrityError,
     load_model,
@@ -62,6 +63,27 @@ class TestSaveLoad:
         with pytest.warns(UserWarning, match="integrity footer"):
             with pytest.raises(ValueError, match="re-fit"):
                 load_model(stale)
+
+    def test_node_tree_layout_is_refused(self, fitted, tmp_path, monkeypatch):
+        # The layout trees were pickled in before they were built into
+        # flat arrays: the linked Node tree under ``root``, beside the
+        # flat view and the split-rule function.
+        __, clf = fitted
+
+        def node_layout(tree):
+            return {
+                "points": tree.points, "indices": tree.indices,
+                "point_weights": tree.point_weights, "leaf_size": tree.leaf_size,
+                "split_rule": tree.split_rule, "axis_rule": tree.axis_rule,
+                "_split_value": None, "_flat": tree.flatten(), "root": tree.root,
+                "_weight_prefix": None,
+            }
+
+        monkeypatch.setattr(KDTree, "__getstate__", node_layout)
+        path = save_model(tmp_path / "old", clf)
+        monkeypatch.undo()
+        with pytest.raises(StaleTreeLayout, match="re-fit"):
+            load_model(path)
 
 
 class TestIntegrityFooter:

@@ -1,5 +1,7 @@
 """Unit tests for the k-d tree index."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,13 @@ class TestConstruction:
         original = small_gauss.copy()
         KDTree(small_gauss)
         np.testing.assert_array_equal(small_gauss, original)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, small_gauss, bad):
+        points = small_gauss.copy()
+        points[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            KDTree(points)
 
     def test_1d_input_promoted(self):
         tree = KDTree(np.array([[1.0], [2.0], [3.0]]))
@@ -86,45 +95,6 @@ class TestInvariants:
     def test_indices_are_a_permutation(self, small_gauss):
         tree = KDTree(small_gauss)
         assert sorted(tree.indices.tolist()) == list(range(small_gauss.shape[0]))
-
-
-class TestPartition:
-    """The O(m) two-block partition must behave exactly like the stable
-    argsort it replaced: same boundary index, same permutation."""
-
-    @pytest.mark.parametrize("value_quantile", [0.1, 0.5, 0.9])
-    def test_boundary_matches_stable_argsort(self, rng, value_quantile):
-        points = rng.normal(size=(257, 3))
-        value = float(np.quantile(points[:, 1], value_quantile))
-        tree = KDTree(points, leaf_size=points.shape[0])  # build = no splits
-        reference_points = tree.points.copy()
-        reference_indices = tree.indices.copy()
-
-        mid = tree._partition(0, points.shape[0], axis=1, value=value)
-
-        goes_left = reference_points[:, 1] < value
-        order = np.argsort(~goes_left, kind="stable")
-        expected_boundary = int(np.count_nonzero(goes_left))
-        assert mid == expected_boundary
-        np.testing.assert_array_equal(tree.points, reference_points[order])
-        np.testing.assert_array_equal(tree.indices, reference_indices[order])
-        assert np.all(tree.points[:mid, 1] < value)
-        assert np.all(tree.points[mid:, 1] >= value)
-
-    def test_partition_with_duplicates(self, rng):
-        points = np.repeat(rng.normal(size=(10, 2)), 20, axis=0)
-        tree = KDTree(points, leaf_size=points.shape[0])
-        snapshot = tree.points.copy()
-        value = float(np.median(snapshot[:, 0]))
-        mid = tree._partition(0, 200, axis=0, value=value)
-        assert mid == int(np.count_nonzero(snapshot[:, 0] < value))
-        # Stability: each block preserves the original relative order.
-        np.testing.assert_array_equal(
-            tree.points[:mid], snapshot[snapshot[:, 0] < value]
-        )
-        np.testing.assert_array_equal(
-            tree.points[mid:], snapshot[snapshot[:, 0] >= value]
-        )
 
 
 class TestDegenerateData:
@@ -185,3 +155,20 @@ class TestAccessors:
         tree = KDTree(np.array([[0.0, 0.0]]))
         with pytest.raises(ValueError, match="no children"):
             tree.root.children()
+
+
+class TestLazyNodes:
+    def test_root_is_linked_once(self, small_gauss):
+        tree = KDTree(small_gauss, leaf_size=8)
+        assert tree.root is tree.root
+
+    def test_pickle_carries_no_nodes(self, small_gauss):
+        tree = KDTree(small_gauss, leaf_size=8)
+        tree.root  # link the nodes
+        blob = pickle.dumps(tree)
+        assert b"Node" not in blob
+        assert pickle.dumps(KDTree(small_gauss, leaf_size=8)) == blob
+        clone = pickle.loads(blob)
+        np.testing.assert_array_equal(clone.flatten().lo, tree.flatten().lo)
+        assert clone.flatten().points is clone.points
+        assert [n.start for n in clone.iter_nodes()] == [n.start for n in tree.iter_nodes()]
