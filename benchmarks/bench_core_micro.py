@@ -1,14 +1,17 @@
 """Micro-benchmarks for tKDC's core operations (not a paper figure).
 
 Useful for tracking performance regressions in the hot paths: tree
-construction, a single pruned density-bounding traversal, grid lookup,
-and the exact vectorized baseline.
+construction, a single pruned density-bounding traversal, batch-engine
+blocks of 4, 32 and 2,048 rows (the traversed share of a served 8-row
+request, a served 64-row request and an offline pass), grid lookup, and
+the exact vectorized baseline.
 """
 
 import numpy as np
 import pytest
 
 from repro.baselines.simple import NaiveKDE
+from repro.core.batch_bounds import bound_densities
 from repro.core.bounds import bound_density
 from repro.core.grid import GridCache
 from repro.core.stats import TraversalStats
@@ -62,6 +65,38 @@ def test_bench_bound_density_exhaustive(workload, benchmark):
 
     result = benchmark(one_query)
     assert result.upper - result.lower < 1e-9 * kernel.max_value
+
+
+@pytest.fixture(scope="module")
+def workload_2d():
+    rng = np.random.default_rng(2)
+    data = rng.normal(size=(N, 2))
+    kernel = kernel_for_data(data)
+    flat = KDTree(kernel.scale(data)).flatten()
+    # Half near the data, half over its bounding box, as the served and
+    # offline query mixes are.
+    queries = np.concatenate((
+        rng.normal(size=(1024, 2)),
+        rng.uniform(data.min(axis=0), data.max(axis=0), size=(1024, 2)),
+    ))
+    scaled = kernel.scale(queries)[rng.permutation(2048)]
+    densities = kernel.sums_at(flat.points, kernel.scale(data[:500])) / N
+    return flat, kernel, scaled, float(np.quantile(densities, 0.01))
+
+
+@pytest.mark.parametrize("rows", [4, 32, 2048])
+def test_bench_batch_block(workload_2d, benchmark, rows):
+    flat, kernel, scaled, threshold = workload_2d
+    block = scaled[:rows]
+
+    def one_block():
+        return bound_densities(
+            flat, kernel, block, threshold, threshold, 0.01, TraversalStats(),
+            guard_policy="repair",
+        )
+
+    result = benchmark(one_block)
+    assert np.all(result.lower <= result.upper)
 
 
 def test_bench_grid_lookup(workload, benchmark):

@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.batch_bounds import bound_densities
-from repro.core.classifier import TKDCClassifier
+from repro.core.classifier import CONFIG_BUDGET, TKDCClassifier
 from repro.core.config import TKDCConfig
 from repro.core.result import ClassificationResult, Label
 from repro.core.stats import TraversalStats
@@ -97,6 +97,11 @@ class IncrementalTKDC:
         # instead of the O(k * total) of per-classify concatenation.
         self._buffer_array: np.ndarray | None = None
         self._buffer_count = 0
+        # The buffer rows in bandwidth-scaled space, kept beside the raw
+        # rows so a classify does not rescale the whole buffer. Only rows
+        # past the live count are ever written in place, so a snapshot may
+        # share it; a refit's new bandwidth brings a new array.
+        self._scaled_array: np.ndarray | None = None
         self.refits = 0
         #: Bumped by :meth:`adopt`; lets external controllers tell which
         #: model generation produced an answer.
@@ -141,6 +146,13 @@ class IncrementalTKDC:
             return np.empty((0, self.classifier.kernel.dim))
         return self._buffer_array[: self._buffer_count]
 
+    @property
+    def scaled_buffer_view(self) -> np.ndarray:
+        """The live buffered rows in the current kernel's scaled space."""
+        if self._scaled_array is None or self._buffer_count == 0:
+            return np.empty((0, self.classifier.kernel.dim))
+        return self._scaled_array[: self._buffer_count]
+
     def fit(self, data: np.ndarray) -> "IncrementalTKDC":
         """(Re)train from scratch on ``data``; clears the buffer."""
         data = np.atleast_2d(np.asarray(data, dtype=np.float64))
@@ -148,6 +160,7 @@ class IncrementalTKDC:
         self._indexed = data
         self._n_indexed = data.shape[0]
         self._buffer_array = None
+        self._scaled_array = None
         self._buffer_count = 0
         return self
 
@@ -198,6 +211,11 @@ class IncrementalTKDC:
         self._indexed = None
         self._n_indexed = int(n_indexed)
         self._buffer_count = keep_last
+        # The adopted model's bandwidth may differ: rescale the kept rows.
+        self._scaled_array = None
+        if self._buffer_array is not None:
+            self._scaled_array = np.empty_like(self._buffer_array)
+            self._scaled_array[:keep_last] = classifier.kernel.scale(self.buffer_view)
         if generation is None:
             self.generation += 1
         else:
@@ -228,15 +246,26 @@ class IncrementalTKDC:
         if self._buffer_array is None:
             capacity = max(2 * rows, _MIN_BUFFER_CAPACITY)
             self._buffer_array = np.empty((capacity, dim))
+            self._scaled_array = np.empty((capacity, dim))
         elif needed > self._buffer_array.shape[0]:
             capacity = max(2 * needed, 2 * self._buffer_array.shape[0])
             grown = np.empty((capacity, dim))
             grown[: self._buffer_count] = self._buffer_array[: self._buffer_count]
             self._buffer_array = grown
+            grown = np.empty((capacity, dim))
+            grown[: self._buffer_count] = self._scaled_array[: self._buffer_count]
+            self._scaled_array = grown
         self._buffer_array[self._buffer_count : needed] = points
+        self._scaled_array[self._buffer_count : needed] = self._classifier.kernel.scale(points)
         self._buffer_count = needed
 
-    def classify_detailed(self, queries: np.ndarray) -> ClassificationResult:
+    def classify_detailed(
+        self,
+        queries: np.ndarray,
+        *,
+        max_expansions: int | None | str = CONFIG_BUDGET,
+        stats: TraversalStats | None = None,
+    ) -> ClassificationResult:
         """Combined-density classification with degradation diagnostics.
 
         For each query the buffered contribution is summed exactly and
@@ -249,9 +278,15 @@ class IncrementalTKDC:
         :attr:`ClassificationResult.threshold` exactly like
         :meth:`TKDCClassifier.classify_detailed` — the serving daemon
         routes streaming requests through this path with the same
-        payload shape as batch ones.
+        payload shape as batch ones. ``max_expansions`` and ``stats`` are
+        :meth:`TKDCClassifier.classify_detailed`'s per-call budget and
+        counter sink.
         """
         clf = self.classifier
+        if stats is None:
+            stats = clf.stats
+        if max_expansions == CONFIG_BUDGET:
+            max_expansions = clf.config.max_node_expansions
         matrix, invalid = clf._as_query_matrix(queries)
         config = clf.config
         kernel = clf.kernel
@@ -277,8 +312,8 @@ class IncrementalTKDC:
                 degraded=degraded, invalid=invalid, threshold=threshold,
             )
         scaled = kernel.scale(matrix[valid_rows])
-        buffer_sums = kernel.sums_at(kernel.scale(self.buffer_view), scaled)
-        clf.stats.kernel_evaluations += self._buffer_count * valid_rows.size
+        buffer_sums = kernel.sums_at(self.scaled_buffer_view, scaled)
+        stats.kernel_evaluations += self._buffer_count * valid_rows.size
         # f_total = (n_indexed * f_idx + buffer_sum) / n_total > t
         #   <=>  f_idx > (t * n_total - buffer_sum) / n_indexed.
         shifted = (threshold * n_total - buffer_sums) / n_indexed
@@ -288,19 +323,19 @@ class IncrementalTKDC:
         rows = valid_rows[cleared]
         labels[rows] = Label.HIGH
         lower[rows] = buffer_sums[cleared] / n_total
-        clf.stats.queries += rows.size
+        stats.queries += rows.size
         traversed = np.flatnonzero(~cleared)
         if traversed.size:
             shifted = shifted[traversed]
             result = bound_densities(
                 clf.tree.flatten(), kernel, scaled[traversed], shifted, shifted,
-                config.epsilon, clf.stats,
+                config.epsilon, stats,
                 use_threshold_rule=config.use_threshold_rule,
                 use_tolerance_rule=config.use_tolerance_rule,
                 tolerance_reference=threshold,
                 eta=eta,
                 block_size=config.batch_block_size,
-                max_expansions=config.max_node_expansions,
+                max_expansions=max_expansions,
                 guard_policy=config.guard_policy,
                 faults=clf._traversal_injector(),
             )

@@ -17,11 +17,23 @@ every internal node's children have larger ids. Leaves are marked by a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 #: Child-index sentinel marking a leaf node.
 NO_CHILD = -1
+
+
+class SweepArrays(NamedTuple):
+    """Per-node arrays laid out for :func:`signed_box_bounds` (derived, never pickled)."""
+
+    #: (2, m, d): each node's ``lo`` rows, then its negated ``hi`` rows.
+    boxes: np.ndarray
+    children: np.ndarray  #: (2, m) left then right child ids.
+    leaf: np.ndarray  #: (m,) True at leaves.
+    mass: np.ndarray  #: (m,) ``node_weight / total_weight``.
 
 
 @dataclass(frozen=True)
@@ -74,6 +86,22 @@ class FlatTree:
         """Boolean leaf mask over node ids."""
         return self.left == NO_CHILD
 
+    @cached_property
+    def sweep(self) -> SweepArrays:
+        """The node arrays regrouped so one ``take`` gathers what a sweep needs."""
+        return SweepArrays(
+            boxes=np.stack((self.lo, -self.hi)),
+            children=np.stack((self.left, self.right)),
+            leaf=self.left == NO_CHILD,
+            mass=self.node_weight * (1.0 / self.total_weight),
+        )
+
+    def __getstate__(self) -> dict:
+        # ``sweep`` is rebuilt on first use after unpickling.
+        state = self.__dict__.copy()
+        state.pop("sweep", None)
+        return state
+
     def leaf_points(self, node_id: int) -> np.ndarray:
         """The contiguous point slice owned by leaf ``node_id``."""
         return self.points[self.start[node_id] : self.end[node_id]]
@@ -102,16 +130,57 @@ def pair_box_bounds(
 
     ``node_ids`` has shape ``(p,)`` and ``queries`` shape ``(p, d)``;
     pair ``i`` bounds the density contribution of node ``node_ids[i]``
-    at ``queries[i]``. One numpy sweep computes the min- and
-    max-distance vectors of every pair (the batched analogue of
-    :func:`repro.index.boxes.box_kernel_bounds`), then two vectorized
-    kernel profile calls bound all contributions at once.
+    at ``queries[i]`` (the batched analogue of
+    :func:`repro.index.boxes.box_kernel_bounds`), weighting each node's
+    mass by ``inv_n``.
     """
-    below = flat.lo[node_ids] - queries
-    above = queries - flat.hi[node_ids]
-    gaps = np.maximum(np.maximum(below, above), 0.0)
-    spans = np.maximum(np.abs(below), np.abs(above))
-    weight = flat.node_weight[node_ids] * inv_n
-    upper = weight * kernel.value(np.einsum("ij,ij->i", gaps, gaps))
-    lower = weight * kernel.value(np.einsum("ij,ij->i", spans, spans))
-    return lower, upper
+    return signed_box_bounds(
+        flat, node_ids, np.stack((queries, -queries)), kernel,
+        flat.node_weight[node_ids] * inv_n,
+    )
+
+
+def signed_pairs(queries: np.ndarray) -> np.ndarray:
+    """The :func:`signed_box_bounds` operand bounding two children per ``(k, d)`` query.
+
+    Pairs ``i`` and ``k + i`` both hold query ``i``: with node ids
+    ``[left children, right children]`` they bound both children of the
+    node query ``i`` expanded.
+    """
+    doubled = np.concatenate((queries, queries))
+    return np.stack((doubled, -doubled))
+
+
+def signed_box_bounds(
+    flat: FlatTree,
+    node_ids: np.ndarray,
+    signed: np.ndarray,
+    kernel,
+    weight: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Equation 6 bounds for ``(p,)`` (query, node) pairs in one sweep.
+
+    ``signed`` has shape ``(2, p, d)``: each pair's query ``q``, then
+    ``-q``. ``weight`` is each pair's node mass over the total; it
+    defaults to ``flat.sweep.mass``. Returns ``(lower, upper)``.
+
+    ``flat.sweep.boxes`` holds ``lo`` and ``-hi``, so one subtraction
+    gives ``below = lo - q`` and ``above = q - hi`` exactly. The gap is
+    ``max(below, above, 0)``; the farthest corner is ``max(|below|,
+    |above|) = -min(below, above)`` (``below + above = lo - hi <= 0``),
+    whose square is the same. Gaps and corners go through one ``einsum``
+    and one kernel call.
+    """
+    boxes, __, __, mass = flat.sweep
+    reach = boxes.take(node_ids, axis=1)
+    reach -= signed  # below, above
+    n, d = node_ids.size, signed.shape[2]
+    corners = np.empty((2, n, d))  # gaps, then farthest corners
+    np.maximum(reach[0], reach[1], out=corners[0])
+    np.maximum(corners[0], 0.0, out=corners[0])
+    np.minimum(reach[0], reach[1], out=corners[1])
+    rows = corners.reshape(2 * n, d)
+    values = kernel.value(np.einsum("ij,ij->i", rows, rows))
+    if weight is None:
+        weight = mass.take(node_ids)
+    return values[n:] * weight, values[:n] * weight

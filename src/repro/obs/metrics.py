@@ -21,6 +21,7 @@ __all__ = [
     "QUERIES_TOTAL",
     "KERNEL_EVALUATIONS_TOTAL",
     "NODE_EXPANSIONS",
+    "TRAVERSAL_ROUNDS",
     "GRID_HITS_TOTAL",
     "GUARD_REPAIRS_TOTAL",
     "GUARD_ESCALATIONS_TOTAL",
@@ -79,6 +80,17 @@ KERNEL_EVALUATIONS_TOTAL = REGISTRY.counter(
 NODE_EXPANSIONS = REGISTRY.histogram(
     "tkdc_node_expansions",
     "Node expansions per density-bounding traversal",
+    labels=("engine",),
+    buckets=WORK_BUCKETS,
+)
+
+#: Frontier rounds per batch-engine block. Every live query pops once a
+#: round, so a block runs as many rounds as its slowest query pops, and
+#: each round has a fixed numpy-dispatch cost however few queries are
+#: live: the machine-independent count behind a small request's cost.
+TRAVERSAL_ROUNDS = REGISTRY.histogram(
+    "tkdc_traversal_rounds",
+    "Frontier rounds per batch-engine block",
     labels=("engine",),
     buckets=WORK_BUCKETS,
 )
@@ -355,10 +367,17 @@ def record_traversal_block(
     rule_counts: Mapping[str, int],
     expansions: Iterable[float],
     kernels: int,
+    rounds: int | None = None,
 ) -> None:
-    """Report one finished block of traversals (batch engine)."""
+    """Report one finished block of traversals (batch engine).
+
+    ``rounds`` is the block's frontier-round count; engines without
+    rounds pass none.
+    """
     if not REGISTRY.enabled:
         return
+    if rounds is not None:
+        TRAVERSAL_ROUNDS.labels(engine).observe(rounds)
     for rule, count in rule_counts.items():
         if count:
             QUERIES_TOTAL.labels(engine, rule).inc(count)

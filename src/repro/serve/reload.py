@@ -219,27 +219,24 @@ class ModelManager:
 
         ``stream`` (an :class:`~repro.core.incremental.IncrementalTKDC`
         snapshot from ``StreamingPipeline.serving_view()``) routes the
-        request through the combined-density streaming path: the same
-        per-request budget clone serves, but every ingested point's
-        exact buffer contribution is folded into the decision
-        (``docs/streaming.md``). The snapshot carries its own classifier
-        reference so counts and threshold stay coherent mid-swap.
+        request through the combined-density streaming path, which folds
+        every ingested point's exact buffer contribution into the
+        decision (``docs/streaming.md``). The snapshot carries its own
+        classifier reference so counts and threshold stay coherent
+        mid-swap.
+
+        The budget and a fresh :class:`TraversalStats` go to
+        ``classify_detailed`` as arguments: the live classifier's config
+        and counters are never touched by a request.
         """
         if self.classify_hook is not None:
             self.classify_hook(points)
-        live = stream.classifier if stream is not None else self._classifier
-        clone = copy.copy(live)
-        clone.config = live.config.with_updates(max_node_expansions=budget)
-        clone._stats = TraversalStats()
-        if stream is not None:
-            shim = copy.copy(stream)
-            shim._classifier = clone
-            result = shim.classify_detailed(points)
-        else:
-            result = clone.classify_detailed(points)
-        fallbacks = int(clone._stats.extras.get(_FALLBACKS_KEY, 0.0))
+        stats = TraversalStats()
+        target = stream if stream is not None else self._classifier
+        result = target.classify_detailed(points, max_expansions=budget, stats=stats)
+        fallbacks = int(stats.extras.get(_FALLBACKS_KEY, 0.0))
         with self._lock:
-            self._traversal_totals.merge(clone._stats)
+            self._traversal_totals.merge(stats)
         if fallbacks:
             self.stats.bump("exact_fallbacks", fallbacks)
         return result, fallbacks

@@ -174,3 +174,55 @@ class TestSignals:
         finally:
             for sig, handler in saved.items():
                 signal.signal(sig, handler)
+
+
+class TestServedRequest:
+    """A served request passes its budget and counters as arguments."""
+
+    def test_request_leaves_live_classifier_untouched(self, model_path):
+        manager = make_manager(model_path)
+        live = manager.classifier
+        config, stats = live.config, live.stats.snapshot()
+        points = np.random.default_rng(5).uniform(-4.0, 4.0, size=(16, 2))
+        result, fallbacks = manager.classify(points, budget=3)
+        assert live.config is config
+        assert live.stats.snapshot() == stats
+        assert fallbacks == 0
+        # The budget applied: a 3-expansion budget leaves box rows degraded.
+        assert result.degraded.any()
+        assert manager.traversal_snapshot()["queries"] > 0
+
+    def test_budget_matches_a_configured_budget(self, model_path):
+        manager = make_manager(model_path)
+        live = manager.classifier
+        points = np.random.default_rng(6).uniform(-4.0, 4.0, size=(16, 2))
+        served, __ = manager.classify(points, budget=7)
+        budgeted = TKDCClassifier.__new__(TKDCClassifier)
+        budgeted.__dict__.update(live.__dict__)
+        budgeted.config = live.config.with_updates(max_node_expansions=7)
+        budgeted._stats = type(live.stats)()
+        expected = budgeted.classify_detailed(points)
+        np.testing.assert_array_equal(served.lower, expected.lower)
+        np.testing.assert_array_equal(served.upper, expected.upper)
+        np.testing.assert_array_equal(served.degraded, expected.degraded)
+        assert manager.traversal_snapshot() == budgeted.stats.snapshot()
+
+    def test_fallbacks_are_counted_per_request(self, model_path, monkeypatch):
+        manager = make_manager(model_path)
+        live = manager.classifier
+        original = TKDCClassifier.classify_detailed
+
+        def with_fallbacks(self, queries, engine=None, **kwargs):
+            result = original(self, queries, engine, **kwargs)
+            sink = kwargs["stats"]
+            sink.extras["guard_exact_fallbacks"] = (
+                sink.extras.get("guard_exact_fallbacks", 0.0) + 2
+            )
+            return result
+
+        monkeypatch.setattr(TKDCClassifier, "classify_detailed", with_fallbacks)
+        points = np.zeros((4, 2))
+        for __ in range(3):
+            assert manager.classify(points, budget=100)[1] == 2
+        assert manager.stats.snapshot()["exact_fallbacks"] == 6
+        assert "guard_exact_fallbacks" not in live.stats.extras

@@ -260,3 +260,42 @@ class TestAdopt:
         model.adopt(model.classifier, n_indexed=2000)
         model.insert(rng.normal(size=(100, 2)))  # way past refit_fraction
         assert model.refits == 0  # raw data gone; external refits only
+
+
+class TestScaledBuffer:
+    """The buffer is kept in scaled space as rows arrive."""
+
+    def _check(self, model, queries):
+        kernel = model.classifier.kernel
+        rescaled = kernel.scale(model.buffer_view)
+        kept = model.scaled_buffer_view
+        assert kept.shape == rescaled.shape
+        assert np.array_equal(kept.view(np.int64), rescaled.view(np.int64))
+        fresh = IncrementalTKDC(model.config, auto_refit=False)
+        fresh.adopt(model.classifier, n_indexed=model.n_indexed)
+        if model.n_buffered:
+            fresh.insert(model.buffer_view.copy())
+        got, want = model.classify_detailed(queries), fresh.classify_detailed(queries)
+        np.testing.assert_array_equal(got.lower, want.lower)
+        np.testing.assert_array_equal(got.upper, want.upper)
+        np.testing.assert_array_equal(got.labels, want.labels)
+
+    def test_sizes_and_adopt(self, medium_gauss, rng):
+        from repro.core.classifier import TKDCClassifier
+
+        model = IncrementalTKDC(TKDCConfig(p=0.05, seed=0), auto_refit=False)
+        model.fit(medium_gauss)
+        queries = rng.normal(size=(40, 2)) * 1.5
+        self._check(model, queries)
+        for total in (2000, 9000):
+            while model.n_buffered < total:
+                model.insert(rng.normal(size=(min(700, total - model.n_buffered), 2)))
+            self._check(model, queries)
+        # A model fitted on wider data has a different bandwidth: the kept
+        # rows are rescaled under it.
+        wider = TKDCClassifier(TKDCConfig(p=0.05, seed=1)).fit(medium_gauss * 3.0)
+        assert not np.array_equal(wider.kernel.bandwidth, model.classifier.kernel.bandwidth)
+        model.adopt(wider, n_indexed=medium_gauss.shape[0], keep_last=1500)
+        self._check(model, queries)
+        model.insert(rng.normal(size=(50, 2)))
+        self._check(model, queries)
