@@ -62,14 +62,23 @@ def box_kernel_bounds(
     path: one numpy sweep computes both the min- and max-distance
     vectors, then two scalar kernel evaluations bound the contribution
     of ``count`` points.
+
+    The squared distances are summed with ``einsum``, in the order the
+    batch engine's :func:`repro.index.flat.signed_box_bounds` sums each
+    row (a BLAS ``gaps @ gaps`` may fuse or reorder the products), so
+    both engines see the same bits. That matters where a decision rests
+    on roundoff: with a compact-support kernel an isolated query's exact
+    density is 0, and a one-ulp residue left in the running upper bound
+    would otherwise label it HIGH against a zero threshold in one engine
+    and LOW in the other.
     """
     below = lo - query
     above = query - hi
     gaps = np.maximum(np.maximum(below, above), 0.0)
     spans = np.maximum(np.abs(below), np.abs(above))
     weight = count * inv_n
-    upper = weight * kernel.value_scalar(float(gaps @ gaps))
-    lower = weight * kernel.value_scalar(float(spans @ spans))
+    upper = weight * kernel.value_scalar(float(np.einsum("i,i->", gaps, gaps)))
+    lower = weight * kernel.value_scalar(float(np.einsum("i,i->", spans, spans)))
     return lower, upper
 
 

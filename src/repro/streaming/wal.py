@@ -57,6 +57,7 @@ import pickle
 import struct
 import threading
 import time
+import weakref
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,6 +72,25 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 log = logging.getLogger("repro.streaming")
+
+#: Writer-lock files open in this process. A flock belongs to the open
+#: file, which a forked child (a refit worker) shares: its copy would
+#: hold the WAL after the owner dies and refuse the successor until the
+#: child exits. So every forked child closes its copies at once.
+_LOCK_HANDLES = weakref.WeakSet()
+
+
+def _close_inherited_locks() -> None:
+    for handle in list(_LOCK_HANDLES):
+        try:
+            handle.close()
+        except OSError:  # pragma: no cover - best effort in a new child
+            pass
+    _LOCK_HANDLES.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_close_inherited_locks)
 
 #: Segment file header; a file not starting with this is not a WAL.
 SEGMENT_MAGIC = b"TKDCWAL1"
@@ -261,11 +281,13 @@ class WriteAheadLog:
         handle.write(f"{os.getpid()}\n".encode("ascii"))
         handle.flush()
         self._lock_handle = handle
+        _LOCK_HANDLES.add(handle)
 
     def _release_writer_lock(self) -> None:
         if self._lock_handle is not None:
             # Closing drops the flock; the file itself stays (stale pid
             # contents are harmless — only the flock is authoritative).
+            _LOCK_HANDLES.discard(self._lock_handle)
             self._lock_handle.close()
             self._lock_handle = None
 

@@ -205,9 +205,12 @@ SOAK_BATCH_ROWS = 16
 def _run_child_until_kill(script_path, model_path, wal_dir, ack_target):
     """Start one ingest child, SIGKILL it after ``ack_target`` ACKs.
 
-    Returns the list of acknowledged sequence numbers. The kill lands
-    immediately after the Nth ACK line, i.e. while the next append is
-    very likely mid-flight — the torn-tail case recovery must absorb.
+    Returns every sequence number the child acknowledged. The kill is
+    sent as soon as the Nth ACK line is read, i.e. while the next append
+    is very likely mid-flight — the torn-tail case recovery must absorb.
+    The child keeps ingesting until the signal lands, so ACKs it printed
+    after the Nth are read from the pipe once it is dead: each one was a
+    client-visible acknowledgement and must survive too.
     """
     import os
     import signal
@@ -237,6 +240,14 @@ def _run_child_until_kill(script_path, model_path, wal_dir, ack_target):
             assert int(rows) == SOAK_BATCH_ROWS
             acked.append(int(seq))
         os.kill(process.pid, signal.SIGKILL)
+        process.wait()
+        # One ACK line is one write of a few bytes, so a line is in the
+        # pipe whole or not at all.
+        for line in process.stdout.read().splitlines():
+            assert line.startswith("ACK"), f"unexpected child line: {line!r}"
+            __, seq, rows = line.split()
+            assert int(rows) == SOAK_BATCH_ROWS
+            acked.append(int(seq))
     finally:
         if process.poll() is None:
             process.kill()

@@ -29,6 +29,11 @@ def _points(rows: int, dim: int = 2, seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).normal(size=(rows, dim))
 
 
+def _hold_until(started, release) -> None:
+    started.set()
+    release.wait(timeout=30.0)
+
+
 class TestRoundTrip:
     def test_records_survive_close_and_reopen(self, tmp_path):
         batch = _points(5)
@@ -114,6 +119,29 @@ class TestLocking:
         wal.abandon()  # simulated SIGKILL
         with WriteAheadLog(tmp_path / "wal") as successor:
             assert len(list(successor.replay())) == 1
+
+    def test_forked_child_does_not_hold_the_lock(self, tmp_path):
+        # A refit worker is forked while the owner holds the lock. A
+        # flock belongs to the open file, so a child keeping its copy
+        # would hold the WAL after the owner dies and refuse the
+        # successor until the child exits.
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        started, release = context.Event(), context.Event()
+        wal = WriteAheadLog(tmp_path / "wal")
+        wal.append_ingest(_points(3))
+        child = context.Process(target=_hold_until, args=(started, release))
+        child.start()
+        try:
+            assert started.wait(timeout=30.0)
+            wal.abandon()  # simulated SIGKILL of the owner
+            assert child.is_alive()
+            with WriteAheadLog(tmp_path / "wal") as successor:
+                assert len(list(successor.replay())) == 1
+        finally:
+            release.set()
+            child.join(timeout=30.0)
 
 
 class TestRotationAndFsync:
