@@ -29,6 +29,7 @@ survives (at worst the traversal does more work).
 from __future__ import annotations
 
 import warnings
+from typing import Callable
 
 import numpy as np
 
@@ -127,15 +128,21 @@ def guard_interval_arrays(
     stats=None,
     site: str = "traversal",
     floor: float = 0.0,
-    ceiling: np.ndarray | float = float("inf"),
+    ceiling: np.ndarray | float | Callable[[], np.ndarray] = float("inf"),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized :func:`guard_interval` over aligned bound arrays.
 
     Returns ``(lower, upper, repaired_mask)``; the inputs are copied
     only when a repair is needed. ``ceiling`` may be an array aligned
-    with the bounds (per-node mass envelopes).
+    with the bounds (per-node mass envelopes), or a function returning
+    one, called only when some pair needs the repair.
     """
     if policy == "off" or lower.size == 0:
+        return lower, upper, np.zeros(lower.shape, dtype=bool)
+    # A finite, non-negative width means every pair is finite and
+    # ordered (NaN fails both tests): the common case in three calls.
+    width = upper - lower
+    if np.minimum.reduce(width) >= 0.0 and np.maximum.reduce(width) < np.inf:
         return lower, upper, np.zeros(lower.shape, dtype=bool)
     finite = np.isfinite(lower) & np.isfinite(upper)
     inverted = lower > upper
@@ -171,6 +178,8 @@ def guard_interval_arrays(
     lower = lower.copy()
     upper = upper.copy()
     lower[bad] = floor
+    if callable(ceiling):
+        ceiling = ceiling()
     upper[bad] = ceiling[bad] if isinstance(ceiling, np.ndarray) else ceiling
     return lower, upper, bad
 
@@ -211,6 +220,13 @@ def guard_values_in_intervals(
 ) -> np.ndarray:
     """Vectorized :func:`guard_value_in_interval`."""
     if policy == "off" or values.size == 0:
+        return values
+    # Finite values inside their intervals (NaN and inf - inf fail the
+    # tests) need none of the checks below.
+    if (
+        np.minimum.reduce(values - lower) >= 0.0
+        and np.minimum.reduce(upper - values) >= 0.0
+    ):
         return values
     finite = np.isfinite(values)
     bad = (~finite) | (values < lower - _ACCUMULATION_TOL) | (

@@ -905,19 +905,19 @@ class StreamingPipeline:
     def serving_view(self) -> IncrementalTKDC:
         """A consistent snapshot of the served model for lock-free serving.
 
-        Shallow-copies the incremental model and copies only the live
-        buffer rows, so the daemon can run a budgeted classify *outside*
-        the pipeline lock without racing a concurrent ingest append or
-        an :meth:`IncrementalTKDC.adopt` sliding the buffer in place.
-        The classifier reference, counts, and buffer are captured
-        atomically, so the shifted-threshold algebra stays coherent
-        across a mid-request swap.
+        Shallow-copies the incremental model under the pipeline lock, so
+        the classifier reference, the counts and the scaled buffer are
+        captured atomically and the shifted-threshold algebra stays
+        coherent across a mid-request swap. The daemon then runs a
+        budgeted classify *outside* the lock. The view shares the scaled
+        buffer rows: an ingest only writes past the live count, and a
+        refit or :meth:`IncrementalTKDC.adopt` installs a new array. It
+        holds no raw rows (an adopt slides those in place), so it serves
+        classify and nothing that reads ``buffer_view``.
         """
         with self._lock:
             view = copy.copy(self.model)
-            rows = self.model.buffer_view
-            view._buffer_array = rows.copy() if rows.shape[0] else None
-            view._buffer_count = int(rows.shape[0])
+        view._buffer_array = None
         return view
 
     # ------------------------------------------------------------------

@@ -93,6 +93,26 @@ class TestIngestAndServe:
         labels = view.classify(rng.normal(size=(5, 2)) * 0.5)
         assert labels.dtype == object
 
+    def test_serving_view_survives_ingest_and_adopt(self, pipeline_factory):
+        """A view shares the scaled buffer instead of copying rows: later
+        appends and an adopt that slides the raw buffer must leave its
+        answers unchanged."""
+        pipeline = pipeline_factory()
+        rng = np.random.default_rng(5)
+        pipeline.ingest(rng.normal(size=(40, 2)) * 0.5)
+        queries = rng.normal(size=(16, 2)) * 0.5
+        view = pipeline.serving_view()
+        before = view.classify_detailed(queries)
+        pipeline.ingest(rng.normal(size=(30, 2)) * 0.5 + 1.0)
+        model = pipeline.model
+        model.adopt(model.classifier, model.n_indexed, keep_last=30)
+        pipeline.ingest(rng.normal(size=(50, 2)) * 0.5 - 1.0)
+        after = view.classify_detailed(queries)
+        assert view.n_buffered == 40
+        np.testing.assert_array_equal(before.lower, after.lower)
+        np.testing.assert_array_equal(before.upper, after.upper)
+        np.testing.assert_array_equal(before.labels, after.labels)
+
     def test_auto_refit_is_disabled(self, pipeline_factory):
         pipeline = pipeline_factory()
         assert pipeline.model.auto_refit is False
