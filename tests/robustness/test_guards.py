@@ -77,6 +77,24 @@ class TestGuardIntervalArrays:
         assert out_l is lower and out_u is upper
         assert not bad.any()
 
+    def test_infinite_upper_is_repaired_with_lazy_ceiling(self):
+        stats = TraversalStats()
+        out_l, out_u, bad = guard_interval_arrays(
+            np.array([0.1, 0.2]), np.array([0.3, np.inf]), "repair", stats,
+            ceiling=lambda: np.array([1.0, 2.0]),
+        )
+        assert list(bad) == [False, True]
+        assert out_l[1] == 0.0 and out_u[1] == 2.0
+        assert out_l[0] == 0.1 and out_u[0] == 0.3
+
+    def test_clean_batch_never_builds_the_ceiling(self):
+        def ceiling():
+            raise AssertionError("ceiling built for a clean batch")
+
+        guard_interval_arrays(
+            np.array([0.1, 0.2]), np.array([0.1, 0.4]), "repair", ceiling=ceiling
+        )
+
     def test_raise_reports_first_offender(self):
         with pytest.raises(InvariantViolation, match="offset 1"):
             guard_interval_arrays(
@@ -116,3 +134,15 @@ class TestGuardValueInInterval:
         expected = [0.2, 0.5, 0.5, 0.8]
         assert np.allclose(out, expected)
         assert np.isnan(values[2])  # input untouched
+
+    def test_vectorized_clamps_a_value_above_its_interval(self):
+        out = guard_values_in_intervals(
+            np.array([0.5, 2.0]), np.full(2, 0.2), np.full(2, 0.8), "repair"
+        )
+        assert list(out) == [0.5, 0.8]
+
+    def test_vectorized_infinite_value_is_an_escape(self):
+        with pytest.raises(InvariantViolation, match="leaf"):
+            guard_values_in_intervals(
+                np.array([np.inf]), np.array([0.2]), np.array([np.inf]), "raise"
+            )
