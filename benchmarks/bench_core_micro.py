@@ -3,17 +3,20 @@
 Useful for tracking performance regressions in the hot paths: tree
 construction, a single pruned density-bounding traversal, batch-engine
 blocks of 4, 32 and 2,048 rows (the traversed share of a served 8-row
-request, a served 64-row request and an offline pass), grid lookup, and
-the exact vectorized baseline.
+request, a served 64-row request and an offline pass), grid lookup, the
+exact vectorized baseline, and a 64-row streaming request over 0, 7,000
+and 28,000 buffered rows (its cost should stay flat as the buffer grows).
 """
 
 import numpy as np
 import pytest
 
+from repro import TKDCClassifier, TKDCConfig
 from repro.baselines.simple import NaiveKDE
 from repro.core.batch_bounds import bound_densities
 from repro.core.bounds import bound_density
 from repro.core.grid import GridCache
+from repro.core.incremental import IncrementalTKDC
 from repro.core.stats import TraversalStats
 from repro.index.kdtree import KDTree
 from repro.kernels.factory import kernel_for_data
@@ -114,3 +117,32 @@ def test_bench_naive_batch(workload, benchmark):
     queries = data[:100]
     densities = benchmark(naive.density, queries)
     assert densities.shape == (100,)
+
+
+@pytest.fixture(scope="module")
+def streaming_model():
+    rng = np.random.default_rng(3)
+    clf = TKDCClassifier(TKDCConfig(seed=0)).fit(rng.normal(size=(N, 2)))
+    stream = rng.normal(size=(28_000, 2))
+    # Half near the data, half over a box twice its spread.
+    requests = np.concatenate(
+        (rng.normal(size=(16, 32, 2)), rng.uniform(-4.0, 4.0, size=(16, 32, 2))), axis=1
+    )
+    return clf, stream, requests
+
+
+@pytest.mark.parametrize("buffered", [0, 7000, 28_000])
+def test_bench_streaming_request(streaming_model, benchmark, buffered):
+    clf, stream, requests = streaming_model
+    model = IncrementalTKDC(clf.config, auto_refit=False)
+    model.adopt(clf, n_indexed=clf.tree.size)
+    for at in range(0, buffered, 32):
+        model.insert(stream[at : min(at + 32, buffered)])
+    served = iter(range(10**9))
+
+    def one_request():
+        return model.classify_detailed(requests[next(served) % len(requests)])
+
+    result = benchmark(one_request)
+    assert model.n_buffered == buffered
+    assert np.all(result.lower <= result.upper)

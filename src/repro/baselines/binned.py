@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from repro.kernels.base import Kernel
 from repro.kernels.factory import kernel_for_data
@@ -61,6 +60,9 @@ class BinnedKDE:
         self._evaluations = 0
 
     def fit(self, data: np.ndarray) -> "BinnedKDE":
+        # Imported here so that importing the library does not load scipy.
+        from scipy.signal import fftconvolve
+
         data = as_finite_matrix(data, "training data")
         d = data.shape[1]
         if d > 4:

@@ -184,3 +184,96 @@ def signed_box_bounds(
     if weight is None:
         weight = mass.take(node_ids)
     return values[n:] * weight, values[:n] * weight
+
+
+def absorb_rows(
+    flat: FlatTree,
+    split_dim: np.ndarray,
+    split_value: np.ndarray,
+    rows: np.ndarray,
+    mass: float,
+) -> FlatTree:
+    """A new :class:`FlatTree` with ``rows`` routed into ``flat``'s leaves.
+
+    ``split_dim``/``split_value`` are the tree's per-node split axis (-1
+    at leaves) and value: each row descends by the same ``coord <
+    value`` test the build partitions with, and is appended to its
+    leaf's slice after the leaf's own points, in row order. Slices,
+    counts and masses shift to match, leaf boxes widen to cover their
+    new rows and every parent box is re-tightened from its children.
+    The child arrays are shared, not copied; ``flat`` is not modified.
+
+    ``mass`` is the population the tree's points stand for. When it
+    differs from the point count, or the tree is weighted, the tree's
+    point weights are scaled to sum to ``mass`` and every new row weighs
+    one, so the new tree bounds ``(mass * f_tree + sum_rows K) / (mass +
+    len(rows))``. Zero rows return ``flat`` itself.
+    """
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, flat.dim)
+    m = rows.shape[0]
+    if m == 0:
+        return flat
+    n = flat.size
+    leaf_of = np.zeros(m, dtype=np.int64)
+    moving = np.arange(m)
+    while moving.size:
+        at = leaf_of[moving]
+        axis = split_dim[at]
+        inner = axis >= 0
+        moving, at, axis = moving[inner], at[inner], axis[inner]
+        goes_left = rows[moving, axis] < split_value[at]
+        leaf_of[moving] = np.where(goes_left, flat.left[at], flat.right[at])
+
+    # Pre-order numbering puts a left slice before its right one, so the
+    # leaves in id order are the leaves in slice order.
+    leaves = np.flatnonzero(flat.left == NO_CHILD)
+    added = np.bincount(leaf_of, minlength=flat.n_nodes)[leaves]
+    before = np.concatenate(([0], np.cumsum(added)))  # rows in earlier leaves
+    base_dest = np.arange(n) + np.repeat(before[:-1], flat.count[leaves])
+    order = np.argsort(flat.start[leaf_of], kind="stable")
+    routed = rows[order]
+    # The j-th routed row lands after its leaf's own points and the j
+    # routed rows before it.
+    row_dest = flat.end[leaf_of[order]] + np.arange(m)
+    points = np.empty((n + m, flat.dim))
+    points[base_dest] = flat.points
+    points[row_dest] = routed
+    leaf_starts = flat.start[leaves]
+    start = flat.start + before[np.searchsorted(leaf_starts, flat.start)]
+    end = flat.end + before[np.searchsorted(leaf_starts, flat.end)]
+
+    lo, hi = flat.lo.copy(), flat.hi.copy()
+    filled = added > 0
+    cuts = before[:-1][filled]
+    targets = leaves[filled]
+    lo[targets] = np.minimum(lo[targets], np.minimum.reduceat(routed, cuts, axis=0))
+    hi[targets] = np.maximum(hi[targets], np.maximum.reduceat(routed, cuts, axis=0))
+    # Internal nodes level by level from the root, then re-tightened
+    # deepest level first so each parent reads finished children.
+    levels = [np.zeros(1, dtype=np.int64)]
+    while True:
+        inner = levels[-1][flat.left[levels[-1]] != NO_CHILD]
+        if not inner.size:
+            break
+        levels[-1] = inner
+        levels.append(np.concatenate((flat.left[inner], flat.right[inner])))
+    for parents in reversed(levels[:-1]):
+        left, right = flat.left[parents], flat.right[parents]
+        lo[parents] = np.minimum(lo[left], lo[right])
+        hi[parents] = np.maximum(hi[left], hi[right])
+
+    if flat.point_weights is None and mass == n:
+        point_weights = None
+        node_weight = (end - start).astype(np.float64)
+    else:
+        base = np.ones(n) if flat.point_weights is None else flat.point_weights
+        point_weights = np.empty(n + m)
+        point_weights[base_dest] = base * (mass / flat.total_weight)
+        point_weights[row_dest] = 1.0
+        prefix = np.concatenate(([0.0], np.cumsum(point_weights)))
+        node_weight = prefix[end] - prefix[start]
+    return FlatTree(
+        points=points, lo=lo, hi=hi, count=end - start, start=start, end=end,
+        left=flat.left, right=flat.right, node_weight=node_weight,
+        point_weights=point_weights,
+    )

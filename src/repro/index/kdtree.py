@@ -47,7 +47,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.index.boxes import box_kernel_bounds
-from repro.index.flat import NO_CHILD, FlatTree
+from repro.index.flat import NO_CHILD, FlatTree, absorb_rows
 from repro.index.splitting import SEGMENT_SPLIT_RULES, SPLIT_RULES, segment_median
 
 #: Default number of points below which a node becomes a leaf.
@@ -249,6 +249,21 @@ class KDTree:
         immutable after construction, so the view never goes stale.
         """
         return self._flat
+
+    @property
+    def splits(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-node split axis (-1 at leaves) and split value (NaN at leaves)."""
+        return self._split_dim, self._split_value
+
+    def absorb(self, rows: np.ndarray, mass: float) -> FlatTree:
+        """The flat view with extra ``rows`` routed into this tree's leaves.
+
+        Each row descends by the tree's own splits and joins its leaf's
+        slice; see :func:`~repro.index.flat.absorb_rows` for the layout
+        and for ``mass``. The tree itself is unchanged, and zero rows
+        return :meth:`flatten`'s view.
+        """
+        return absorb_rows(self._flat, *self.splits, rows, mass)
 
     @property
     def root(self) -> Node:

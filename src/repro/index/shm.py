@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.index.flat import FlatTree
+from repro.index.flat import FlatTree, absorb_rows
 from repro.io.atomic import atomic_write_bytes
 
 #: Manifest format marker + version; bumped on incompatible changes so a
@@ -58,6 +58,10 @@ ARRAY_FIELDS = (
     "points", "lo", "hi", "count", "start", "end",
     "left", "right", "node_weight", "point_weights",
 )
+
+#: The tree's per-node split axis and value, published beside the flat
+#: arrays so an attached tree can absorb rows (optional).
+_SPLIT_FIELDS = ("split_dim", "split_value")
 
 _REQUIRED_FIELDS = tuple(f for f in ARRAY_FIELDS if f != "point_weights")
 
@@ -204,7 +208,7 @@ class TreeManifest:
             raise ShmManifestError(
                 f"manifest is missing required arrays: {', '.join(missing)}"
             )
-        unknown = [f for f in segments if f not in ARRAY_FIELDS]
+        unknown = [f for f in segments if f not in ARRAY_FIELDS + _SPLIT_FIELDS]
         if unknown:
             raise ShmManifestError(
                 f"manifest names unknown arrays: {', '.join(unknown)}"
@@ -294,19 +298,33 @@ class AttachedTree:
     """Read-only, KDTree-compatible facade over attached segments.
 
     Provides exactly the tree surface the serving path touches —
-    ``flatten()``, ``points``, ``point_weights``, ``size``, ``dim``,
-    ``total_weight`` — so an attached model serves through the same
-    ``classify_detailed`` batch path as a locally loaded one. Anything
-    needing the pointer-based :class:`~repro.index.kdtree.KDTree`
-    (refitting) fails with a normal ``AttributeError`` rather than
-    silently wrong answers.
+    ``flatten()``, ``absorb()``, ``splits``, ``points``,
+    ``point_weights``, ``size``, ``dim``, ``total_weight`` — so an
+    attached model serves (and, as a streaming pipeline's model, absorbs
+    buffered rows) through the same paths as a locally loaded one.
+    Anything needing the pointer-based
+    :class:`~repro.index.kdtree.KDTree` (refitting) fails with a normal
+    ``AttributeError`` rather than silently wrong answers.
     """
 
-    def __init__(self, flat: FlatTree) -> None:
+    def __init__(
+        self, flat: FlatTree, splits: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> None:
         self._flat = flat
+        self._splits = splits
 
     def flatten(self) -> FlatTree:
         return self._flat
+
+    @property
+    def splits(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._splits is None:
+            raise AttributeError("this tree was published without its splits")
+        return self._splits
+
+    def absorb(self, rows: np.ndarray, mass: float) -> FlatTree:
+        """:meth:`repro.index.kdtree.KDTree.absorb` over the attached arrays."""
+        return absorb_rows(self._flat, *self.splits, rows, mass)
 
     @property
     def points(self) -> np.ndarray:
@@ -347,10 +365,11 @@ class TreeAttachment:
         manifest: TreeManifest,
         flat: FlatTree,
         segments: dict[str, shared_memory.SharedMemory],
+        splits: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         self.manifest = manifest
         self.flat = flat
-        self.tree = AttachedTree(flat)
+        self.tree = AttachedTree(flat, splits)
         self._segments = segments
         self._closed = False
 
@@ -371,19 +390,23 @@ def publish_flat_tree(
     model_sha256: str = "",
     build: dict | None = None,
     extras: dict | None = None,
+    splits: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PublishedTree:
     """Copy a ``FlatTree``'s arrays into fresh shared segments.
 
     One segment per array, named ``<generation>-<field>``. The single
     copy here is the last one: every attacher reads these pages
-    directly.
+    directly. ``splits`` is the tree's ``(split_dim, split_value)``
+    (:attr:`repro.index.kdtree.KDTree.splits`), which an attached tree
+    needs to absorb rows.
     """
     generation = generation if generation is not None else new_generation_id()
     segments: dict[str, shared_memory.SharedMemory] = {}
     specs: dict[str, SegmentSpec] = {}
     try:
-        for name in ARRAY_FIELDS:
-            array = getattr(flat, name)
+        arrays = {name: getattr(flat, name) for name in ARRAY_FIELDS}
+        arrays.update(zip(_SPLIT_FIELDS, splits or (None, None)))
+        for name, array in arrays.items():
             if array is None:
                 continue
             array = np.ascontiguousarray(array)
@@ -466,4 +489,7 @@ def attach_flat_tree(manifest: TreeManifest | Path | str) -> TreeAttachment:
         node_weight=arrays["node_weight"],
         point_weights=arrays.get("point_weights"),
     )
-    return TreeAttachment(manifest, flat, segments)
+    splits = None
+    if "split_dim" in arrays:
+        splits = (arrays["split_dim"], arrays["split_value"])
+    return TreeAttachment(manifest, flat, segments, splits)

@@ -11,14 +11,20 @@ the paper's Equation 11 with rank offsets ``± z * sqrt(s p (1-p))``.
 
 Ranks here are **1-based order statistics** (the paper's convention);
 :func:`quantile_index` converts to a 0-based array index.
+
+The normal quantile comes from :class:`statistics.NormalDist` and the
+binomial distribution from an exact numpy sum, so importing the library
+(and every serving process) does not load scipy.
 """
 
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
+
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
 
 
 def quantile_index(size: int, p: float) -> int:
@@ -58,7 +64,7 @@ def normal_order_ci(sample_size: int, p: float, delta: float) -> tuple[int, int]
     Returns 1-based ranks clamped into ``[1, sample_size]``.
     """
     _validate(sample_size, p, delta)
-    z = stats.norm.ppf(1.0 - delta / 2.0)
+    z = NormalDist().inv_cdf(1.0 - delta / 2.0)
     center = sample_size * p
     spread = z * math.sqrt(sample_size * p * (1.0 - p))
     lower = int(math.floor(center - spread))
@@ -81,8 +87,9 @@ def binomial_order_ci(sample_size: int, p: float, delta: float) -> tuple[int, in
     _validate(sample_size, p, delta)
     # The number of subsample values below the population quantile is
     # Binomial(s, p); rank bounds are its delta/2 and 1-delta/2 quantiles.
-    lower = int(stats.binom.ppf(delta / 2.0, sample_size, p))
-    upper = int(stats.binom.ppf(1.0 - delta / 2.0, sample_size, p)) + 1
+    cdf = _binomial_cdf(sample_size, p)
+    lower = _binomial_ppf(cdf, delta / 2.0)
+    upper = _binomial_ppf(cdf, 1.0 - delta / 2.0) + 1
     return _clamp_ranks(lower, upper, sample_size)
 
 
@@ -95,9 +102,25 @@ def order_statistic_coverage(sample_size: int, p: float, lower: int, upper: int)
     """
     if not 1 <= lower <= upper <= sample_size:
         raise ValueError(f"need 1 <= lower <= upper <= {sample_size}, got [{lower}, {upper}]")
-    return float(
-        stats.binom.cdf(upper, sample_size, p) - stats.binom.cdf(lower - 1, sample_size, p)
-    )
+    cdf = _binomial_cdf(sample_size, p)
+    return float(cdf[upper] - cdf[lower - 1])
+
+
+def _binomial_cdf(n: int, p: float) -> np.ndarray:
+    """``P(X <= k)`` for ``k = 0..n``, ``X ~ Binomial(n, p)``.
+
+    Each probability mass is ``exp`` of its log, ``lgamma`` for the
+    binomial coefficient; the cumulative sum is clipped at one.
+    """
+    k = np.arange(n + 1)
+    log_choose = math.lgamma(n + 1) - (_lgamma(k + 1) + _lgamma(n - k + 1)).astype(np.float64)
+    pmf = np.exp(log_choose + k * math.log(p) + (n - k) * math.log1p(-p))
+    return np.minimum(np.cumsum(pmf), 1.0)
+
+
+def _binomial_ppf(cdf: np.ndarray, q: float) -> int:
+    """The smallest ``k`` with ``cdf[k] >= q`` (``n`` when none is)."""
+    return min(int(np.searchsorted(cdf, q, side="left")), cdf.size - 1)
 
 
 def _validate(sample_size: int, p: float, delta: float) -> None:

@@ -123,6 +123,7 @@ def publish_classifier(
         model_sha256=model_sha256,
         build=build_info(),
         extras=extras,
+        splits=classifier.tree.splits,
     )
 
 

@@ -894,7 +894,7 @@ class StreamingPipeline:
             wal.write_snapshot(self._wal_state_locked())
 
     def classify(self, queries: np.ndarray) -> np.ndarray:
-        """Serve labels including every ingested point (exact buffer)."""
+        """Serve labels counting every ingested point exactly."""
         with self._lock:
             return self.model.classify(queries)
 
@@ -906,14 +906,16 @@ class StreamingPipeline:
         """A consistent snapshot of the served model for lock-free serving.
 
         Shallow-copies the incremental model under the pipeline lock, so
-        the classifier reference, the counts and the scaled buffer are
-        captured atomically and the shifted-threshold algebra stays
-        coherent across a mid-request swap. The daemon then runs a
-        budgeted classify *outside* the lock. The view shares the scaled
-        buffer rows: an ingest only writes past the live count, and a
-        refit or :meth:`IncrementalTKDC.adopt` installs a new array. It
-        holds no raw rows (an adopt slides those in place), so it serves
-        classify and nothing that reads ``buffer_view``.
+        the classifier reference, the counts, the scaled buffer and the
+        tree holding the absorbed rows are captured atomically and the
+        shifted-threshold algebra stays coherent across a mid-request
+        swap. The daemon then runs a budgeted classify *outside* the
+        lock. The view shares the scaled buffer rows and the absorbed
+        tree: an ingest only writes past the live count, an absorb
+        installs a new tree, and a refit or :meth:`IncrementalTKDC.adopt`
+        installs a new array and tree. It holds no raw rows (an adopt
+        slides those in place), so it serves classify and nothing that
+        reads ``buffer_view``.
         """
         with self._lock:
             view = copy.copy(self.model)
@@ -1258,6 +1260,8 @@ class StreamingPipeline:
                 "generation": int(self.model.generation),
                 "n_total": int(self.model.n_total),
                 "n_buffered": int(self.model.n_buffered),
+                "absorbed_rows": int(self.model.n_absorbed),
+                "exact_tail_rows": int(self.model.n_buffered - self.model.n_absorbed),
                 "threshold": float(self.model.classifier.threshold.value),
                 "ingested_total": int(self.ingested_total),
                 "window_fill": len(self._window),

@@ -6,6 +6,8 @@ Every scenario runs against BOTH engines: the per-query reference
 under each policy must be identical in kind.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,44 @@ def test_fit_time_guards_cover_the_bootstrap(train_data, engine):
     ).fit(train_data)
     assert clf.is_fitted
     assert 0.0 <= clf.threshold.lower <= clf.threshold.value <= clf.threshold.upper
+
+
+@pytest.mark.parametrize("policy", ["repair", "warn"])
+def test_overflowing_node_mass_takes_the_exact_fallback(policy):
+    # Point weights are each finite, but their running sum overflows, so
+    # the tree's upper node masses are inf or NaN. The node guard's
+    # repair ceiling is then non-finite too, the running interval cannot
+    # stay finite, and both engines retire every query through the
+    # accumulator site's exact fallback.
+    from repro.core.batch_bounds import bound_densities
+    from repro.core.bounds import EXACT_FALLBACKS_KEY, bound_density
+    from repro.core.stats import TraversalStats
+    from repro.index.kdtree import KDTree
+    from repro.kernels.gaussian import GaussianKernel
+
+    rng = np.random.default_rng(0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tree = KDTree(rng.normal(size=(64, 2)), leaf_size=4, weights=np.full(64, 1e307))
+    assert not np.isfinite(tree.total_weight)
+    kernel = GaussianKernel(np.ones(2))
+    queries = rng.normal(size=(5, 2))
+    batch_stats, per_query_stats = TraversalStats(), TraversalStats()
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", GuardWarning)
+        batch = bound_densities(
+            tree.flatten(), kernel, queries, 0.01, 0.01, 0.1, batch_stats,
+            guard_policy=policy,
+        )
+        per_query = [
+            bound_density(tree, kernel, query, 0.01, 0.01, 0.1, per_query_stats,
+                          guard_policy=policy)
+            for query in queries
+        ]
+    assert batch_stats.extras[EXACT_FALLBACKS_KEY] == len(queries)
+    assert per_query_stats.extras == batch_stats.extras
+    assert (batch.outcome_codes == 0).all()
+    for row, result in enumerate(per_query):
+        assert result.outcome is None
+        np.testing.assert_array_equal(
+            [batch.lower[row], batch.upper[row]], [result.lower, result.upper]
+        )

@@ -91,6 +91,36 @@ class TestRoundTrip:
             attachment.close()
             published.unlink()
 
+    def test_attached_tree_absorbs_like_the_kdtree(self, rng):
+        tree = KDTree(rng.normal(size=(257, 3)), leaf_size=16)
+        rows = rng.normal(size=(90, 3)) * 1.5
+        published = publish_flat_tree(tree.flatten(), splits=tree.splits)
+        attachment = attach_flat_tree(published.manifest)
+        try:
+            for mass in (257, 1000.0):
+                expected = tree.absorb(rows, mass=mass)
+                absorbed = attachment.tree.absorb(rows, mass=mass)
+                for name in ARRAY_FIELDS:
+                    if getattr(expected, name) is None:
+                        assert getattr(absorbed, name) is None
+                    else:
+                        np.testing.assert_array_equal(
+                            getattr(absorbed, name), getattr(expected, name)
+                        )
+        finally:
+            attachment.close()
+            published.unlink()
+
+    def test_tree_published_without_splits_cannot_absorb(self, flat):
+        published = publish_flat_tree(flat)
+        attachment = attach_flat_tree(published.manifest)
+        try:
+            with pytest.raises(AttributeError, match="without its splits"):
+                attachment.tree.absorb(np.zeros((1, 3)), mass=flat.size)
+        finally:
+            attachment.close()
+            published.unlink()
+
     def test_attached_arrays_are_read_only(self, flat):
         published = publish_flat_tree(flat)
         attachment = attach_flat_tree(published.manifest)
@@ -262,6 +292,30 @@ class TestModelPlane:
             )
             np.testing.assert_allclose(reference.lower, mirrored.lower)
             np.testing.assert_allclose(reference.upper, mirrored.upper)
+        finally:
+            attachment.close()
+
+    def test_attached_model_streams_like_the_source(self, plane, rng):
+        # A fleet's ingest owner streams over its attached model: once
+        # the buffer reaches an absorb step it must answer as the model
+        # loaded from its file does.
+        from repro.core.incremental import _ABSORB_STEP, IncrementalTKDC
+
+        classifier, __, __, manifest_file = plane
+        attached, attachment, __ = attach_classifier(manifest_file)
+        try:
+            rows = rng.normal(size=(_ABSORB_STEP + 50, 2))
+            queries = rng.normal(size=(32, 2)) * 2.5
+            answers = []
+            for model in (classifier, attached):
+                stream = IncrementalTKDC(model.config, auto_refit=False)
+                stream.adopt(model, n_indexed=model.tree.size)
+                stream.insert(rows)
+                assert stream.n_absorbed == _ABSORB_STEP
+                answers.append(stream.classify_detailed(queries))
+            np.testing.assert_array_equal(answers[0].labels, answers[1].labels)
+            np.testing.assert_array_equal(answers[0].lower, answers[1].lower)
+            np.testing.assert_array_equal(answers[0].upper, answers[1].upper)
         finally:
             attachment.close()
 

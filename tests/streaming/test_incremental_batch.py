@@ -4,7 +4,8 @@
 in one :func:`~repro.core.batch_bounds.bound_densities` call, each row
 pruned against its own shifted threshold. The oracle below is the
 per-row :func:`~repro.core.bounds.bound_density` loop that path used
-before, with the per-row ``einsum`` buffer sum: labels,
+before, with the per-row ``einsum`` sum over the buffer rows not yet
+absorbed into the tree (the whole buffer below one absorb step): labels,
 ``degraded``/``invalid`` flags and every
 :class:`~repro.core.stats.TraversalStats` counter must be identical,
 and bounds may differ only by the vector-vs-scalar summation drift.
@@ -12,19 +13,44 @@ and bounds may differ only by the vector-vs-scalar summation drift.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro import TKDCConfig
 from repro.core.batch_bounds import bound_densities
 from repro.core.bounds import bound_density
-from repro.core.incremental import IncrementalTKDC
+from repro.core.incremental import _ABSORB_STEP, IncrementalTKDC
 from repro.core.result import Label
 from repro.core.stats import TraversalStats
 from repro.robustness.faults import FaultPlan
 
 #: Vector and scalar leaf sums round differently; bounds agree to this.
 BOUND_RTOL = 1e-12
+
+
+def absorbed_kdtree(model: IncrementalTKDC):
+    """The model's tree with the absorbed rows, as a per-query-engine tree.
+
+    A copy of the :class:`~repro.index.kdtree.KDTree` whose arrays are
+    swapped for the absorbed flat tree's (the splits and depths are
+    shared); its ``Node`` objects are linked from the new arrays.
+    """
+    tree = model.classifier.tree
+    absorbed = tree.absorb(
+        model.scaled_buffer_view[: model.n_absorbed], mass=model.n_indexed
+    )
+    joint = copy.copy(tree)
+    joint._flat = absorbed
+    joint._root = None
+    joint.points = absorbed.points
+    joint.point_weights = absorbed.point_weights
+    joint._weight_prefix = (
+        None if absorbed.point_weights is None
+        else np.concatenate(([0.0], np.cumsum(absorbed.point_weights)))
+    )
+    return joint
 
 
 def per_row_oracle(model: IncrementalTKDC, queries: np.ndarray):
@@ -34,8 +60,10 @@ def per_row_oracle(model: IncrementalTKDC, queries: np.ndarray):
     config = clf.config
     kernel = clf.kernel
     threshold = clf.threshold.value
-    eta = clf._rule_eta
-    n_indexed, n_total = model.n_indexed, model.n_total
+    absorbed = model.n_absorbed
+    tree = absorbed_kdtree(model) if absorbed else clf.tree
+    n_indexed, n_total = model.n_indexed + absorbed, model.n_total
+    eta = clf._rule_eta * (model.n_indexed / n_indexed)
     n_queries = matrix.shape[0]
     labels = np.empty(n_queries, dtype=object)
     labels[:] = Label.LOW
@@ -46,7 +74,8 @@ def per_row_oracle(model: IncrementalTKDC, queries: np.ndarray):
     if valid_rows.size == 0:
         return labels, lower, upper, degraded, invalid
     scaled = kernel.scale(matrix[valid_rows])
-    buffer = kernel.scale(model.buffer_view) if model.n_buffered else None
+    tail = model.buffer_view[absorbed:]
+    buffer = kernel.scale(tail) if tail.shape[0] else None
     faults = clf._traversal_injector()
     for local, row in enumerate(valid_rows):
         query = scaled[local]
@@ -63,7 +92,7 @@ def per_row_oracle(model: IncrementalTKDC, queries: np.ndarray):
             clf.stats.queries += 1
             continue
         result = bound_density(
-            clf.tree, kernel, query, shifted, shifted, config.epsilon, clf.stats,
+            tree, kernel, query, shifted, shifted, config.epsilon, clf.stats,
             use_threshold_rule=config.use_threshold_rule,
             use_tolerance_rule=config.use_tolerance_rule,
             tolerance_reference=threshold,
@@ -128,13 +157,23 @@ def test_matches_per_row_loop(buffered, budget):
 
 
 def test_buffer_spanning_several_sum_blocks():
-    # 9,000 buffered rows leave Kernel.sums_at three query rows per
-    # block, so one 96-row request spans 32 blocks of the buffer sum.
+    # 9,000 buffered rows put whole absorb steps into the tree and leave
+    # an exact tail; the oracle traverses the absorbed tree row by row.
     model = fitted()
     model.insert(np.random.default_rng(5).normal(size=(9000, 2)))
+    assert model.n_absorbed == 9000 // _ABSORB_STEP * _ABSORB_STEP
     assert_matches_oracle(model, spread_queries(96))
     result = model.classify_detailed(spread_queries(96))
     assert (result.labels == Label.HIGH).any() and (result.labels == Label.LOW).any()
+
+
+def test_rule_eta_covers_the_indexed_part_only():
+    # A certified coreset slack bounds the indexed part's error; the
+    # absorbed rows are exact, so the tree's eta shrinks by their share.
+    model = fitted()
+    model.classifier._rule_eta = 0.05 * model.classifier.threshold.value
+    model.insert(np.random.default_rng(5).normal(size=(2 * _ABSORB_STEP + 100, 2)))
+    assert_matches_oracle(model, spread_queries(96))
 
 
 def test_flagged_nan_row_and_buffer_cleared_row():

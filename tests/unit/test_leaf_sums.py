@@ -219,7 +219,7 @@ def test_repair_guard_fires_on_the_same_pairs(monkeypatch):
 @pytest.mark.parametrize("buffered", [0, 2000])
 def test_incremental_classify_detailed_identical(monkeypatch, buffered, budget):
     from repro import TKDCConfig
-    from repro.core.incremental import IncrementalTKDC
+    from repro.core.incremental import _ABSORB_STEP, IncrementalTKDC
 
     config = TKDCConfig(p=0.05, seed=0, epsilon=0.2, leaf_size=4, max_node_expansions=budget)
     model = IncrementalTKDC(config, auto_refit=False).fit(
@@ -236,4 +236,7 @@ def test_incremental_classify_detailed_identical(monkeypatch, buffered, budget):
     (detailed, stats), oracle = both_ways(monkeypatch, run)
     assert_same_detailed(detailed, oracle[0])
     assert stats == oracle[1]
-    assert stats["kernel_evaluations"] > buffered * queries.shape[0]
+    # Whole absorb steps of the buffer are in the traversed tree; the
+    # exact tail is summed for every query row.
+    assert model.n_absorbed == buffered // _ABSORB_STEP * _ABSORB_STEP
+    assert stats["kernel_evaluations"] > (buffered - model.n_absorbed) * queries.shape[0]

@@ -1,5 +1,9 @@
 """Unit tests for order-statistic quantile confidence intervals."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -113,3 +117,54 @@ class TestCoverage:
                 hits += 1
         # Allow generous slack: 300 trials of a >= 95% event.
         assert hits / trials >= 0.88
+
+
+class TestAgainstScipy:
+    """The scipy-free distributions give scipy's ranks and coverages.
+
+    Sizes span the threshold bootstrap's samples and the drift monitor's
+    windows; ``p`` and ``delta`` span the configurations in use.
+    """
+
+    SIZES = [*range(1, 41), 64, 100, 128, 200, 256, 500, 512, 528, 1000, 1024,
+             2048, 4096, 5000, 8192, 10_000, 16_384, 20_000, 50_000]
+    PS = [0.001, 0.01, 0.02, 0.05, 0.1, 0.5, 0.9]
+    DELTAS = [1e-4, 0.001, 0.01, 0.05, 0.1, 0.5]
+
+    def test_normal_ranks(self):
+        stats = pytest.importorskip("scipy.stats")
+        for size in self.SIZES:
+            for p in self.PS:
+                for delta in self.DELTAS:
+                    z = stats.norm.ppf(1.0 - delta / 2.0)
+                    center, spread = size * p, z * np.sqrt(size * p * (1.0 - p))
+                    lower = min(max(int(np.floor(center - spread)), 1), size)
+                    upper = min(max(int(np.ceil(center + spread)), lower), size)
+                    assert normal_order_ci(size, p, delta) == (lower, upper), (size, p, delta)
+
+    def test_binomial_ranks_and_coverage(self):
+        stats = pytest.importorskip("scipy.stats")
+        for size in self.SIZES:
+            for p in self.PS:
+                for delta in self.DELTAS:
+                    lower = int(stats.binom.ppf(delta / 2.0, size, p))
+                    upper = int(stats.binom.ppf(1.0 - delta / 2.0, size, p)) + 1
+                    lower = min(max(lower, 1), size)
+                    upper = min(max(upper, lower), size)
+                    assert binomial_order_ci(size, p, delta) == (lower, upper), (size, p, delta)
+                    expected = stats.binom.cdf(upper, size, p) - stats.binom.cdf(lower - 1, size, p)
+                    assert order_statistic_coverage(size, p, lower, upper) == pytest.approx(
+                        expected, rel=0.0, abs=1e-9
+                    )
+
+
+def test_library_import_does_not_load_scipy():
+    script = (
+        "import sys, repro, repro.cli, repro.serve.daemon; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "[]"
